@@ -23,6 +23,7 @@ from .potentials import (
     bundled_catalog,
 )
 from .diffraction import (
+    TruncationError,
     PhaseSet,
     DiffractionPattern,
     bessel_J,
@@ -47,6 +48,7 @@ __all__ = [
     "quadrupole_scales",
     "load_catalog",
     "bundled_catalog",
+    "TruncationError",
     "PhaseSet",
     "DiffractionPattern",
     "bessel_J",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xkd.diffraction import bessel_J
+from xkd.diffraction import bessel_J, dipole_pattern
 
 from conftest import bessel_series_oracle
 
@@ -47,16 +47,32 @@ def test_reflection_identities_exact():
 def test_large_arguments():
     # contract covers |n| <= 200, |x| <= 1e4; the ascending series is useless
     # out here (it cancels catastrophically), so check against mpmath's
-    # arbitrary-precision evaluation instead
+    # arbitrary-precision evaluation instead; (200, 2.5) seeds the Miller
+    # recurrence so far above x that its overflow rescale fires twice
     import mpmath as mp
 
-    for n, x in [(0, 1000.0), (3, 1000.0), (200, 250.0), (150, 9999.0), (0, 1e4)]:
+    for n, x in [(0, 1000.0), (3, 1000.0), (200, 250.0), (150, 9999.0), (0, 1e4),
+                 (200, 2.5)]:
         with mp.workdps(40):
             ref = float(mp.besselj(n, mp.mpf(repr(x))))
         val = bessel_J(n, x)
         err = abs(val - ref)
         assert err <= 1e-15 or err <= 5e-13 * abs(ref), (n, x, val, ref)
 
+
+
+def test_rescaled_miller_row_against_mpmath():
+    # the row behind bessel_J(200, 2.5): every order must survive the two
+    # overflow rescales, not only the last one (J_200(2.5) ~ 1e-356 meets
+    # any absolute floor, right or wrong)
+    import mpmath as mp
+
+    pattern = dipole_pattern(2.5, half_orders=200)
+    for n in range(0, 201):
+        with mp.workdps(40):
+            ref = float(mp.besselj(n, mp.mpf("2.5")))
+        err = abs(abs(pattern.amplitude(2 * n)) - abs(ref))
+        assert err <= 1e-15 or err <= 1e-13 * abs(ref), (n, pattern.amplitude(2 * n), ref)
 
 def test_deep_evanescent_orders_underflow_gracefully():
     # true value ~1e-130; anything below the absolute floor is acceptable

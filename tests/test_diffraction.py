@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import xkd
+from xkd import diffraction
 from xkd.constants import HBAR
 from xkd.diffraction import (
     DiffractionPattern,
@@ -173,6 +175,87 @@ class TestQuadrupolePattern:
     def test_truncation_failure_on_absurd_phase(self):
         with pytest.raises(TruncationError):
             quadrupole_pattern(PhaseSet(0.5, 1e7, 5e6, 0.0))
+
+
+def padded(pattern, half):
+    """Amplitudes on orders -2 half .. 2 half of a contiguous symmetric pattern."""
+    k = len(pattern.orders) // 2
+    assert np.array_equal(pattern.orders, 2 * np.arange(-k, k + 1))
+    out = np.zeros(2 * half + 1, dtype=complex)
+    out[half - k : half + k + 1] = pattern.amplitudes
+    return out
+
+
+def pattern_on_path(monkeypatch, phases, fft):
+    """quadrupole_pattern with its convolution path forced, plus the path it
+    would have chosen by itself for the final rows."""
+    chosen = []
+    choose = diffraction._fft_pays
+
+    def forced(lengths):
+        chosen.append(choose(lengths))
+        return fft
+
+    with monkeypatch.context() as m:
+        m.setattr(diffraction, "_fft_pays", forced)
+        pattern = quadrupole_pattern(phases)
+    return pattern, chosen[-1]
+
+
+class TestConvolutionPaths:
+    # (below, above): one pair straddles the 2e5 multiply-add floor, the
+    # other the 10 m log2 m estimate of the FFT's cost
+    STRADDLES = [
+        (PhaseSet(37.0, 37.0, 18.5, -18.5), PhaseSet(38.0, 38.0, 19.0, -19.0)),
+        (PhaseSet(500.0, 0.5, 0.25, -0.25), PhaseSet(510.0, 0.51, 0.255, -0.255)),
+    ]
+
+    @pytest.mark.parametrize("below, above", STRADDLES)
+    def test_paths_agree_at_the_switch(self, monkeypatch, below, above):
+        for phases, natural in ((below, False), (above, True)):
+            direct, chosen = pattern_on_path(monkeypatch, phases, fft=False)
+            fft, _ = pattern_on_path(monkeypatch, phases, fft=True)
+            assert chosen is natural
+            assert np.array_equal(direct.orders, fft.orders)
+            assert np.max(np.abs(direct.amplitudes - fft.amplitudes)) <= 1e-14
+            assert abs(direct.truncation_residual - fft.truncation_residual) <= 1e-14
+            unforced = quadrupole_pattern(phases)
+            assert np.array_equal((fft if natural else direct).amplitudes, unforced.amplitudes)
+
+    def test_phases_up_to_20_rad_take_the_direct_path(self, monkeypatch):
+        # row lengths depend on |phase| only, so one sign covers both
+        _, chosen = pattern_on_path(monkeypatch, PhaseSet(20.0, 20.0, 20.0, 20.0), fft=False)
+        assert chosen is False
+
+    def test_underflowed_row_leaves_only_sub_floor_noise(self, monkeypatch):
+        # J_n(1e-30) underflows to exact zeros past n ~ 10, so the direct path
+        # trims the outermost orders; the FFT path keeps them as rounding
+        # noise, and every such extra order must stay below 1e-15
+        phases = PhaseSet(2000.0, 0.0, 0.0, 1e-30)
+        direct, _ = pattern_on_path(monkeypatch, phases, fft=False)
+        fft, _ = pattern_on_path(monkeypatch, phases, fft=True)
+        assert len(fft.orders) > len(direct.orders)
+        half = len(fft.orders) // 2
+        gap = np.abs(padded(direct, half) - padded(fft, half))
+        assert np.max(gap) <= 1e-14
+        extra = ~np.isin(fft.orders, direct.orders)
+        assert np.max(np.abs(fft.amplitudes[extra])) <= 1e-15
+        assert abs(direct.truncation_residual - fft.truncation_residual) <= 1e-14
+
+    def test_bessel_argument_cap(self):
+        # every phase at the 1e4 cap: about 1e5 orders, against the oracle on
+        # a grid wide enough to resolve them all
+        m = model_from_phases(1e4, -1e4, 1e4)
+        phases = phases_from_potential(m, TAU)
+        assert abs(phases.theta0) <= 1e4 and abs(phases.thetaC4) <= 1e4
+        pattern = quadrupole_pattern(phases)
+        oracle = phase_grating_oracle(m, TAU, grid_points=2**19)
+        half = max(len(pattern.orders), len(oracle.orders)) // 2
+        assert half > 50000
+        assert np.max(np.abs(padded(pattern, half) - padded(oracle, half))) <= 1e-9
+        assert abs(1.0 - float(np.sum(pattern.intensities))) <= 1e-10
+        with pytest.raises(xkd.TruncationError):
+            quadrupole_pattern(PhaseSet(1e4, -1e4, -5e3, 1.0001e4))
 
 
 class TestOracle:
