@@ -11,6 +11,7 @@ numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -25,8 +26,9 @@ from .potentials import (
     AtomSpecies,
     CatalogError,
     LaserGrating,
-    PotentialModel,
+    _need,
     _parse_species,
+    _read_object,
     build_potential,
     bundled_catalog,
     lightshift_depth,
@@ -51,36 +53,26 @@ class RunConfig:
     seed: int = 0
 
 
-def _load_config(path: str) -> dict:
+@contextlib.contextmanager
+def _blame(doc: dict, where: str, *keys: str):
+    """Report a value derived from ``keys`` that fails (say, a phase that
+    overflows) against those of them that ``doc`` holds."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    return doc
-
-
-def _need(doc: dict, key: str, kind, where: str):
-    if key not in doc:
-        raise ConfigError(f"{where}: missing key '{key}'")
-    value = doc[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"{where}: key '{key}' has wrong type")
-    return value
+        yield
+    except (ConfigError, CatalogError, np.linalg.LinAlgError):
+        raise
+    except (ValueError, ArithmeticError) as exc:
+        names = ", ".join(f"'{key}'" for key in keys if key in doc)
+        raise ConfigError(f"{where}: keys {names} give an unusable value: {exc}") from exc
 
 
 def _resolve_atom(doc: dict, where: str) -> AtomSpecies:
-    selector = _need(doc, "atom", (str, dict), where)
+    selector = _need(doc, "atom", where, (str, dict))
     if isinstance(selector, dict):
-        try:
-            return _parse_species({"name": "inline", **selector}, f"{where}: key 'atom'")
-        except CatalogError as exc:
-            raise ConfigError(str(exc)) from exc
-    catalog_path = doc.get("catalog")
+        return _parse_species({"name": "inline", **selector}, f"{where}: key 'atom'")
+    catalog_path = _need(doc, "catalog", where, str, default=None)
     try:
-        catalog = load_catalog(catalog_path) if catalog_path else bundled_catalog()
+        catalog = bundled_catalog() if catalog_path is None else load_catalog(catalog_path)
     except (OSError, CatalogError) as exc:
         raise ConfigError(f"{where}: key 'catalog': {exc}") from exc
     if selector not in catalog:
@@ -91,36 +83,28 @@ def _resolve_atom(doc: dict, where: str) -> AtomSpecies:
     return catalog[selector]
 
 
-def _pattern_model(doc: dict, where: str) -> tuple[PotentialModel, float]:
-    tau = float(_need(doc, "tau_s", (int, float), where))
-    if not tau > 0:
-        raise ConfigError(f"{where}: key 'tau_s' must be > 0")
-    wavelength = float(_need(doc, "wavelength_m", (int, float), where))
-    if not wavelength > 0:
-        raise ConfigError(f"{where}: key 'wavelength_m' must be > 0")
-    k_l = 2.0 * math.pi / wavelength
+def _pattern_phases(doc: dict, where: str) -> diffraction.PhaseSet:
+    tau, wavelength = (_need(doc, key, where, positive=True) for key in ("tau_s", "wavelength_m"))
     direct = "U0_eV" in doc
-    physical = "atom" in doc
-    if direct == physical:
+    if direct == ("atom" in doc):
         raise ConfigError(
             f"{where}: give exactly one of key 'U0_eV' (with optional "
             f"'UA_eV'/'UC_eV') or key 'atom' (with 'intensity_W_m2')"
         )
-    if direct:
-        u0 = float(_need(doc, "U0_eV", (int, float), where)) * EV
-        ua = float(doc.get("UA_eV", 0.0)) * EV
-        uc = float(doc.get("UC_eV", 0.0)) * EV
-    else:
-        atom = _resolve_atom(doc, where)
-        laser = LaserGrating(
-            wavelength=wavelength,
-            intensity=float(_need(doc, "intensity_W_m2", (int, float), where)),
-            pulse_duration=tau,
-            spot_radius=float(doc.get("spot_radius_m", 1e-6)),
-        )
-        u0 = lightshift_depth(atom, laser)
-        ua, uc = quadrupole_scales(atom, laser)
-    return build_potential(u0, ua, uc, k_l), tau
+    with _blame(doc, where, "tau_s", "wavelength_m", "U0_eV", "UA_eV", "UC_eV", "atom",
+                "intensity_W_m2"):
+        if direct:
+            depths = [
+                _need(doc, key, where, default=0.0) * EV for key in ("U0_eV", "UA_eV", "UC_eV")
+            ]
+        else:
+            atom = _resolve_atom(doc, where)
+            intensity = _need(doc, "intensity_W_m2", where, nonnegative=True)
+            spot = _need(doc, "spot_radius_m", where, default=1e-6, positive=True)
+            laser = LaserGrating(wavelength, intensity, tau, spot)
+            depths = [lightshift_depth(atom, laser), *quadrupole_scales(atom, laser)]
+        model = build_potential(*depths, 2.0 * math.pi / wavelength)
+        return diffraction.phases_from_potential(model, tau)
 
 
 def _pattern_svg(pattern: diffraction.DiffractionPattern) -> str:
@@ -167,10 +151,9 @@ def _write(path: str, text: str):
 
 
 def cmd_pattern(run: RunConfig) -> int:
-    doc = _load_config(run.config_path)
-    model, tau = _pattern_model(doc, run.config_path)
+    doc = _read_object(run.config_path)
+    phases = _pattern_phases(doc, run.config_path)
     tolerance = run.tolerance if run.tolerance is not None else 1e-10
-    phases = diffraction.phases_from_potential(model, tau)
     pattern = diffraction.quadrupole_pattern(phases, tolerance)
     if run.out_path.endswith(".json"):
         _write(
@@ -192,34 +175,33 @@ def cmd_pattern(run: RunConfig) -> int:
 
 
 def cmd_plan(run: RunConfig) -> int:
-    doc = _load_config(run.config_path)
+    doc = _read_object(run.config_path)
     where = run.config_path
     atom = _resolve_atom(doc, where)
-    wavelength = float(_need(doc, "wavelength_m", (int, float), where))
-    pulse = float(_need(doc, "pulse_duration_s", (int, float), where))
-    spot = float(_need(doc, "spot_radius_m", (int, float), where))
-    has_intensity = "intensity_W_m2" in doc
+    wavelength = _need(doc, "wavelength_m", where, positive=True)
+    pulse = _need(doc, "pulse_duration_s", where, positive=True)
+    spot = _need(doc, "spot_radius_m", where, positive=True)
     has_target = "U_target_eV" in doc
-    if has_intensity == has_target:
+    if has_target == ("intensity_W_m2" in doc):
         raise ConfigError(
             f"{where}: give exactly one of key 'intensity_W_m2' or key 'U_target_eV'"
         )
-    if has_target:
-        u_target = float(doc["U_target_eV"]) * EV
-        intensity = (
-            feasibility.required_intensity(atom, u_target) if u_target > 0 else 0.0
+    drive = _need(doc, "U_target_eV" if has_target else "intensity_W_m2", where, nonnegative=True)
+    with _blame(doc, where, "atom", "wavelength_m", "pulse_duration_s", "spot_radius_m",
+                "U_target_eV", "intensity_W_m2", "volume_m3", "min_photons"):
+        if has_target:
+            u_target = drive * EV
+            intensity = feasibility.required_intensity(atom, u_target) if u_target > 0 else 0.0
+            laser = LaserGrating(wavelength, intensity, pulse, spot)
+        else:
+            laser = LaserGrating(wavelength, drive, pulse, spot)
+            u_target = atom.alpha * laser.E0_squared  # rule-of-thumb depth
+        volume, min_photons = (
+            _need(doc, key, where, default=value, positive=True)
+            for key, value in (("volume_m3", feasibility.DEFAULT_INTERACTION_VOLUME),
+                               ("min_photons", feasibility.DEFAULT_MIN_PHOTONS))
         )
-        laser = LaserGrating(wavelength, intensity, pulse, spot)
-    else:
-        laser = LaserGrating(wavelength, float(doc["intensity_W_m2"]), pulse, spot)
-        u_target = atom.alpha * laser.E0_squared  # rule-of-thumb depth
-    report = feasibility.plan_experiment(
-        atom,
-        laser,
-        u_target,
-        volume=float(doc.get("volume_m3", feasibility.DEFAULT_INTERACTION_VOLUME)),
-        min_photons=float(doc.get("min_photons", feasibility.DEFAULT_MIN_PHOTONS)),
-    )
+        report = feasibility.plan_experiment(atom, laser, u_target, volume, min_photons)
     payload = dataclasses.asdict(report)
     payload["atom"] = atom.name
     payload["intensity_W_m2"] = laser.intensity
@@ -253,44 +235,38 @@ def cmd_plan(run: RunConfig) -> int:
 
 
 def cmd_fit(run: RunConfig) -> int:
-    doc = _load_config(run.config_path)
+    doc = _read_object(run.config_path)
     where = run.config_path
-    csv_path = _need(doc, "observations_csv", str, where)
+    csv_path = _need(doc, "observations_csv", where, str)
     if not os.path.exists(csv_path):
         raise ConfigError(f"{where}: key 'observations_csv': no such file {csv_path}")
     observed = fitting.ObservedPattern.from_csv(csv_path)
-    model = _need(doc, "model", str, where)
-    if model == "dipole":
-        result = fitting.fit_dipole(observed, float(doc.get("theta0_init", 0.5)))
-    elif model == "quadrupole":
-        init = doc.get("init", {})
-        if not isinstance(init, dict):
-            raise ConfigError(f"{where}: key 'init' must be an object")
-        theta_a2 = float(init.get("thetaA2", 0.0))
-        result = fitting.fit_quadrupole(
-            observed,
-            diffraction.PhaseSet(
-                theta0=float(init.get("theta0", 0.5)),
-                thetaA2=theta_a2,
-                thetaA4=0.5 * theta_a2,
-                thetaC4=float(init.get("thetaC4", 0.0)),
-            ),
-        )
-    else:
+    model = _need(doc, "model", where, str)
+    if model not in ("dipole", "quadrupole"):
         raise ConfigError(f"{where}: key 'model' must be 'dipole' or 'quadrupole'")
+    with _blame(doc, where, "observations_csv", "theta0_init" if model == "dipole" else "init"):
+        if model == "dipole":
+            result = fitting.fit_dipole(observed, _need(doc, "theta0_init", where, default=0.5))
+        else:
+            init = _need(doc, "init", where, dict, default={})
+            theta0, theta_a2, theta_c4 = (
+                _need(init, key, f"{where}: key 'init'", default=value)
+                for key, value in (("theta0", 0.5), ("thetaA2", 0.0), ("thetaC4", 0.0))
+            )
+            start = diffraction.PhaseSet(theta0, theta_a2, 0.5 * theta_a2, theta_c4)
+            result = fitting.fit_quadrupole(observed, start)
 
     payload = dataclasses.asdict(result)
-    if "laser" in doc:
-        laser_doc = doc["laser"]
-        if not isinstance(laser_doc, dict):
-            raise ConfigError(f"{where}: key 'laser' must be an object")
-        laser = LaserGrating(
-            wavelength=float(_need(laser_doc, "wavelength_m", (int, float), f"{where}: key 'laser'")),
-            intensity=float(_need(laser_doc, "intensity_W_m2", (int, float), f"{where}: key 'laser'")),
-            pulse_duration=float(_need(laser_doc, "tau_s", (int, float), f"{where}: key 'laser'")),
-            spot_radius=float(laser_doc.get("spot_radius_m", 1e-6)),
-        )
-        estimate = fitting.polarizability_estimates(result, laser, laser.pulse_duration)
+    laser_doc = _need(doc, "laser", where, dict, default=None)
+    if laser_doc is not None:
+        laser_where = f"{where}: key 'laser'"
+        with _blame(laser_doc, laser_where, "wavelength_m", "intensity_W_m2", "tau_s"):
+            laser = LaserGrating(
+                *(_need(laser_doc, key, laser_where, positive=True)
+                  for key in ("wavelength_m", "intensity_W_m2", "tau_s")),
+                _need(laser_doc, "spot_radius_m", laser_where, default=1e-6, positive=True),
+            )
+            estimate = fitting.polarizability_estimates(result, laser, laser.pulse_duration)
         payload["polarizabilities"] = dataclasses.asdict(estimate)
     _write(run.out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -383,12 +359,13 @@ def main(argv=None) -> int:
     }[run.command]
     try:
         return handler(run)
-    except (ConfigError, CatalogError, ValueError, OSError) as exc:
-        print(f"xkd: {exc}", file=sys.stderr)
-        return 1
+    # LinAlgError is a ValueError, so it must be caught before invalid input
     except (diffraction.TruncationError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"xkd: numeric failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as exc:
+        print(f"xkd: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -88,6 +88,12 @@ class FeasibilityReport:
     flags: FeasibilityFlags
     notes: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        # a report is written as JSON, which has no inf or NaN
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} is not finite ({value})")
+
 
 def recoil_energy(mass: float, k_L: float) -> float:
     """Single-photon recoil energy hbar^2 k_L^2 / 2m, in eV."""

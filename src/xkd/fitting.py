@@ -461,7 +461,7 @@ def polarizability_estimates(
     a_per_rad = 4.0 * HBAR / (tau * E2_GAUSS * R_BOHR**3 / HARTREE_NOMINAL * k_l * e0_sq)
     c_per_rad = 8.0 * HBAR / (tau * E2_GAUSS * R_BOHR**4 / HARTREE_NOMINAL * k_l**2 * e0_sq)
     sig = list(result.param_sigma) + [0.0, 0.0, 0.0]
-    return PolarizabilityEstimate(
+    estimate = PolarizabilityEstimate(
         alpha=alpha_per_rad * result.theta0_hat,
         alpha_sigma=alpha_per_rad * sig[0],
         A_dq=a_per_rad * result.thetaA2_hat,
@@ -469,3 +469,6 @@ def polarizability_estimates(
         C_qq=-c_per_rad * result.thetaC4_hat,
         C_sigma=c_per_rad * sig[2],
     )
+    if not all(math.isfinite(v) for v in (estimate.alpha, estimate.A_dq, estimate.C_qq)):
+        raise ValueError("the recovered polarizabilities are not finite for this laser")
+    return estimate

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -249,55 +250,76 @@ def multipole_magnitude(order_n: int, laser: LaserGrating) -> float:
 
 
 class CatalogError(ValueError):
-    """Malformed species catalog; the message names the offending key."""
+    """Malformed catalog or config value; the message names the offending key."""
 
 
-_REQUIRED_KEYS = {
-    "name": str,
-    "mass_kg": (int, float),
-    "alpha_m3": (int, float),
-    "ionization_energy_eV": (int, float),
-    "sigma_table": list,
-}
-_OPTIONAL_KEYS = {"A_dq": (int, float), "C_qq": (int, float)}
+_REQUIRED = object()
+_KIND_NAMES = {str: "a string", dict: "an object", list: "an array",
+               (str, dict): "a string or an object"}
+
+
+def _need(doc: dict, key: str, where: str, kind=float, default=_REQUIRED,
+          positive: bool = False, nonnegative: bool = False):
+    """The one reader of config and catalog values: ``doc[key]`` as ``kind``.
+
+    A number must be a JSON number (not a bool, null or string), finite as a
+    float, and ``> 0``/``>= 0`` where asked; it comes back as a float.  A
+    missing key gives ``default`` if one is passed.  Failures raise
+    CatalogError reading "<where>: key '<key>' ...".
+    """
+    if key not in doc:
+        if default is _REQUIRED:
+            raise CatalogError(f"{where}: key '{key}' is missing")
+        return default
+    value = doc[key]
+    if kind is not float:
+        if isinstance(value, kind):
+            return value
+        problem = "must be " + _KIND_NAMES[kind]
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        problem = "must be a number"
+    elif not -sys.float_info.max <= value <= sys.float_info.max:  # also NaN, huge ints
+        problem = "must be finite"
+    elif positive and not value > 0:
+        problem = "must be > 0"
+    elif nonnegative and value < 0:
+        problem = "must be >= 0"
+    else:
+        return float(value)
+    raise CatalogError(f"{where}: key '{key}' {problem}, got {json.dumps(value)[:40]}")
+
+
+def _read_object(path: str | os.PathLike) -> dict:
+    """The JSON object in the file at ``path`` (a config or a catalog)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # also bytes that are not UTF-8
+            raise CatalogError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise CatalogError(f"{path}: top level must be an object")
+    return doc
 
 
 def _parse_species(entry: dict, where: str) -> AtomSpecies:
     if not isinstance(entry, dict):
         raise CatalogError(f"{where}: species entry must be an object")
-    label = entry.get("name", "?")
-    for key, typ in _REQUIRED_KEYS.items():
-        if key not in entry:
-            raise CatalogError(f"{where} ('{label}'): missing key '{key}'")
-        if not isinstance(entry[key], typ) or isinstance(entry[key], bool):
-            raise CatalogError(f"{where} ('{label}'): key '{key}' has wrong type")
-    for key, typ in _OPTIONAL_KEYS.items():
-        if key in entry and (not isinstance(entry[key], typ) or isinstance(entry[key], bool)):
-            raise CatalogError(f"{where} ('{label}'): key '{key}' has wrong type")
+    name = _need(entry, "name", where, str)
+    where = f"{where} ('{name}')"
+    mass, alpha = (_need(entry, k, where, positive=True) for k in ("mass_kg", "alpha_m3"))
+    ionization_energy = _need(entry, "ionization_energy_eV", where, nonnegative=True)
     table = []
-    for i, pair in enumerate(entry["sigma_table"]):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
-            raise CatalogError(
-                f"{where} ('{label}'): key 'sigma_table' entry {i} must be "
-                f"[energy_eV, sigma_m2]"
-            )
-        table.append((float(pair[0]), float(pair[1])))
+    for i, pair in enumerate(_need(entry, "sigma_table", where, list)):
+        pair_where = f"{where}: key 'sigma_table' entry {i}"
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise CatalogError(f"{pair_where} must be [energy_eV, sigma_m2]")
+        fields = dict(zip(("energy_eV", "sigma_m2"), pair))
+        table.append(tuple(_need(fields, k, pair_where, positive=True) for k in fields))
+    A_dq, C_qq = (_need(entry, k, where, default=0.0, nonnegative=True) for k in ("A_dq", "C_qq"))
     try:
-        return AtomSpecies(
-            name=entry["name"],
-            mass=float(entry["mass_kg"]),
-            alpha=float(entry["alpha_m3"]),
-            ionization_energy=float(entry["ionization_energy_eV"]),
-            sigma_table=tuple(table),
-            A_dq=float(entry.get("A_dq", 0.0)),
-            C_qq=float(entry.get("C_qq", 0.0)),
-        )
-    except ValueError as exc:
-        raise CatalogError(f"{where} ('{label}'): {exc}") from exc
+        return AtomSpecies(name, mass, alpha, ionization_energy, tuple(table), A_dq, C_qq)
+    except ValueError as exc:  # the scalars are checked above: the table's length or order
+        raise CatalogError(f"{where}: key 'sigma_table': {exc}") from exc
 
 
 def load_catalog(path: str | os.PathLike) -> dict[str, AtomSpecies]:
@@ -308,17 +330,8 @@ def load_catalog(path: str | os.PathLike) -> dict[str, AtomSpecies]:
     [energy_eV, sigma_m2] pairs, and optional A_dq / C_qq multipliers.
     Raises CatalogError naming the offending key on any malformed entry.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CatalogError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "species" not in doc:
-        raise CatalogError(f"{path}: missing key 'species'")
-    if not isinstance(doc["species"], list):
-        raise CatalogError(f"{path}: key 'species' must be an array")
     catalog: dict[str, AtomSpecies] = {}
-    for i, entry in enumerate(doc["species"]):
+    for i, entry in enumerate(_need(_read_object(path), "species", str(path), list)):
         species = _parse_species(entry, f"species entry {i}")
         if species.name in catalog:
             raise CatalogError(f"species entry {i}: duplicate name '{species.name}'")

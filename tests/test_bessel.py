@@ -48,11 +48,13 @@ def test_large_arguments():
     # contract covers |n| <= 200, |x| <= 1e4; the ascending series is useless
     # out here (it cancels catastrophically), so check against mpmath's
     # arbitrary-precision evaluation instead; (200, 2.5) seeds the Miller
-    # recurrence so far above x that its overflow rescale fires twice
+    # recurrence so far above x that its overflow rescale fires twice, and
+    # the four (+-200, +-1e4) pairs are the corners of the contract (there
+    # scipy.special.jv is itself off by ~7e-14, so it is no oracle)
     import mpmath as mp
 
     for n, x in [(0, 1000.0), (3, 1000.0), (200, 250.0), (150, 9999.0), (0, 1e4),
-                 (200, 2.5)]:
+                 (200, 2.5), (200, 1e4), (-200, 1e4), (200, -1e4), (-200, -1e4)]:
         with mp.workdps(40):
             ref = float(mp.besselj(n, mp.mpf(repr(x))))
         val = bessel_J(n, x)

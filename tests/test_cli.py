@@ -1,10 +1,17 @@
 """CLI behaviour: file formats, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from xkd import cli, diffraction
 from xkd.constants import EV, HBAR
@@ -164,6 +171,18 @@ class TestPlan:
         assert cli.main(["plan", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["atom"] == "custom"
 
+    def test_catalog_must_be_a_path(self, tmp_path):
+        # in a subprocess: open() takes a number as a file descriptor, so a
+        # catalog of 2 that reached it would close this process's stderr
+        cfg = plan_config(tmp_path, catalog=2)
+        proc = subprocess.run(
+            [sys.executable, "-m", "xkd", "plan", "--config", cfg],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "key 'catalog' must be a string" in proc.stderr
+
     def test_volume_override_flips_semiclassical_flag(self, tmp_path):
         # shrink the interaction volume until the photon count misses 1e6
         cfg = plan_config(tmp_path, volume_m3=1e-16)
@@ -301,3 +320,141 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 1
+
+
+# ---------------------------------------------------------------------------
+# Input contract: every malformed config exits 1 naming a key, never a traceback
+# ---------------------------------------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+INLINE_ATOM = {
+    "mass_kg": 2.508932885535e-26,
+    "alpha_m3": 1e-29,
+    "ionization_energy_eV": 10.0,
+    "sigma_table": [[30.0, 8e-21], [3000.0, 8e-22]],
+    "A_dq": 0.5,
+    "C_qq": 0.2,
+}
+
+
+def _shipped(name):
+    doc = json.loads((CONFIGS / name).read_text())
+    if "observations_csv" in doc:
+        doc["observations_csv"] = str(CONFIGS.parent / doc["observations_csv"])
+    return doc
+
+
+# the four shipped configs, plus variants that carry an inline atom and a
+# quadrupole `init`, each with the optional keys it may also hold
+BASES = {
+    "fit_dipole": ("fit", _shipped("fit_dipole.json"), ["laser.spot_radius_m"]),
+    "fit_quadrupole": (
+        "fit",
+        {
+            **_shipped("fit_dipole.json"),
+            "model": "quadrupole",
+            "init": {"theta0": 0.5, "thetaA2": 0.1, "thetaC4": 0.0},
+        },
+        [],
+    ),
+    "pattern_dipole": ("pattern", _shipped("pattern_dipole.json"), ["UA_eV", "UC_eV"]),
+    "pattern_quadrupole": ("pattern", _shipped("pattern_quadrupole.json"), ["spot_radius_m"]),
+    "pattern_inline": ("pattern", {**_shipped("pattern_quadrupole.json"), "atom": INLINE_ATOM}, []),
+    "plan_xray": ("plan", _shipped("plan_xray.json"), ["volume_m3", "min_photons", "catalog"]),
+    "plan_inline": ("plan", {**_shipped("plan_xray.json"), "atom": INLINE_ATOM}, []),
+}
+DROP = "<drop>"
+BAD_VALUES = [DROP, "x", [1], None, True, math.nan, -1, 0, 1e308, 1e-308, 10**400]
+
+
+def _paths(doc, prefix=()):
+    """Every key path in ``doc``: nested objects and the sigma_table pairs too."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+        elif key == "sigma_table":
+            for i, pair in enumerate(value):
+                for j in range(len(pair)):
+                    yield prefix + (key, i, j)
+
+
+def _targets(base):
+    _, doc, optional = BASES[base]
+    return list(_paths(doc)) + [tuple(key.split(".")) for key in optional]
+
+
+mutations = st.sampled_from(sorted(BASES)).flatmap(
+    lambda base: st.tuples(
+        st.just(base), st.sampled_from(_targets(base)), st.sampled_from(BAD_VALUES)
+    )
+)
+
+# malformed values and overflowing derived values that must each exit 1
+# naming the key
+KNOWN_BREAKS = [
+    ("pattern_dipole", ("UA_eV",), [1]),
+    ("plan_xray", ("U_target_eV",), None),
+    ("fit_quadrupole", ("init", "theta0"), None),
+    ("plan_xray", ("volume_m3",), "x"),
+    ("pattern_dipole", ("tau_s",), 1e300),
+    ("plan_xray", ("wavelength_m",), -1),
+    ("fit_dipole", ("laser", "intensity_W_m2"), 1e-300),
+]
+
+
+def _run_mutated(base, path, value):
+    """Run the command on ``base`` with the value at ``path`` replaced.
+
+    Returns the exit code, stderr and the keys on ``path``: an exit-1
+    message must name one of them (for a field of an inline atom, naming
+    'atom' is enough).
+    """
+    command, doc, _ = BASES[base]
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is DROP:
+        if path[-1] in parent or isinstance(parent, list):
+            del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_json(Path(tmp) / "cfg.json", doc)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, "--config", cfg, "--out", str(Path(tmp) / "out.json")])
+    return code, stderr.getvalue(), [step for step in path if isinstance(step, str)]
+
+
+def _pinned(test):
+    for case in KNOWN_BREAKS:
+        test = example(case)(test)
+    return test
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(mutations)
+@_pinned
+def test_mutated_config_keeps_the_exit_contract(case):
+    code, err, keys = _run_mutated(*case)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert any(f"'{key}'" in err for key in keys), err
+
+
+@pytest.mark.parametrize("case", KNOWN_BREAKS)
+def test_known_breaks_exit_one_naming_the_key(case):
+    code, err, keys = _run_mutated(*case)
+    assert code == 1
+    assert f"'{keys[-1]}'" in err, err
+
+
+def test_tolerance_out_of_reach_exits_three(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    argv = ["pattern", "--config", str(CONFIGS / "pattern_quadrupole.json"),
+            "--out", str(out), "--tolerance", "1e-16"]
+    assert cli.main(argv) == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()

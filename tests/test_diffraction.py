@@ -121,6 +121,13 @@ class TestDipolePattern:
         with pytest.raises(TruncationError):
             dipole_pattern(1e6)
 
+    def test_truncation_failure_at_the_order_cap(self):
+        # a legal phase whose tail cannot fall below 1e-16 in rounding: the
+        # widening loop must stop at _MAX_HALF_ORDERS instead of running on
+        cap = f"within {diffraction._MAX_HALF_ORDERS} orders"
+        with pytest.raises(TruncationError, match=cap):
+            dipole_pattern(9000.0, tolerance=1e-16)
+
     def test_truncation_residual_upper_bounds_discarded(self):
         # force a visibly lossy truncation, then measure what a doubled
         # support recovers; the reported residual must cover it
@@ -175,6 +182,11 @@ class TestQuadrupolePattern:
     def test_truncation_failure_on_absurd_phase(self):
         with pytest.raises(TruncationError):
             quadrupole_pattern(PhaseSet(0.5, 1e7, 5e6, 0.0))
+
+    def test_truncation_failure_at_the_order_cap(self):
+        cap = f"within {diffraction._MAX_HALF_ORDERS} orders"
+        with pytest.raises(TruncationError, match=cap):
+            quadrupole_pattern(PhaseSet(1.0, 0.5, 0.25, -0.2), tolerance=1e-16)
 
 
 def padded(pattern, half):

@@ -328,6 +328,14 @@ class TestPlanExperiment:
         with pytest.raises(SigmaRangeError):
             plan_experiment(atom, laser, 1e-3 * EV)
 
+    def test_non_finite_report_refused(self):
+        # a finite but huge spot radius makes the transit velocity overflow;
+        # the report is written as JSON, which has no inf
+        atom = xray_scenario_atom()
+        laser = LaserGrating(5e-10, 1.9e14, 1e-12, 1e308)
+        with pytest.raises(ValueError, match="atom_velocity_needed is not finite"):
+            plan_experiment(atom, laser, 1e-3 * EV)
+
     def test_report_carries_convention_notes(self):
         atom = xray_scenario_atom()
         laser = LaserGrating(5e-10, 1.9e14, 1e-12, 1e-6)

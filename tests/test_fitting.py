@@ -305,3 +305,12 @@ class TestPolarizabilityRecovery:
             polarizability_estimates(
                 result, LaserGrating(5e-10, 0.0, 1e-12, 1e-6), 1e-12
             )
+
+    def test_non_finite_conversion_refused(self):
+        # tau underflows the unit product to 0 while k_L = inf: 0 * inf is
+        # NaN, which must not reach a written report
+        obs = observed_from_pattern(dipole_pattern(1.0))
+        result = fit_dipole(obs, 0.5)
+        laser = LaserGrating(1e-308, 1.9e14, 1e-300, 1e-6)
+        with pytest.raises(ValueError, match="not finite"):
+            polarizability_estimates(result, laser, laser.pulse_duration)

@@ -282,6 +282,26 @@ class TestCatalog:
         with pytest.raises(CatalogError, match="sigma_table"):
             load_catalog(path)
 
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("mass_kg", True), ("mass_kg", float("nan")), ("mass_kg", 10**400), ("alpha_m3", -1),
+         ("A_dq", -0.5), ("sigma_table", [[100.0, 5e-22], [50.0, 1e-22]])],
+        ids=["bool", "nan", "huge-int", "negative", "negative-optional", "unsorted-table"],
+    )
+    def test_bad_value_named(self, tmp_path, key, bad):
+        entry = {
+            "name": "X",
+            "mass_kg": 1e-26,
+            "alpha_m3": 1e-29,
+            "ionization_energy_eV": 5.0,
+            "sigma_table": [[100.0, 5e-22]],
+            key: bad,
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"species": [entry]}))
+        with pytest.raises(CatalogError, match=f"key '{key}'"):
+            load_catalog(path)
+
     def test_duplicate_species(self, tmp_path):
         entry = {
             "name": "X",
