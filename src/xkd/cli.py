@@ -83,7 +83,7 @@ def _resolve_atom(doc: dict, where: str) -> AtomSpecies:
     return catalog[selector]
 
 
-def _pattern_phases(doc: dict, where: str) -> diffraction.PhaseSet:
+def _pattern(doc: dict, where: str, tolerance: float) -> diffraction.DiffractionPattern:
     tau, wavelength = (_need(doc, key, where, positive=True) for key in ("tau_s", "wavelength_m"))
     direct = "U0_eV" in doc
     if direct == ("atom" in doc):
@@ -104,7 +104,8 @@ def _pattern_phases(doc: dict, where: str) -> diffraction.PhaseSet:
             laser = LaserGrating(wavelength, intensity, tau, spot)
             depths = [lightshift_depth(atom, laser), *quadrupole_scales(atom, laser)]
         model = build_potential(*depths, 2.0 * math.pi / wavelength)
-        return diffraction.phases_from_potential(model, tau)
+        phases = diffraction.phases_from_potential(model, tau)
+        return diffraction.quadrupole_pattern(phases, tolerance)  # PhaseRangeError is a ValueError
 
 
 def _pattern_svg(pattern: diffraction.DiffractionPattern) -> str:
@@ -152,9 +153,8 @@ def _write(path: str, text: str):
 
 def cmd_pattern(run: RunConfig) -> int:
     doc = _read_object(run.config_path)
-    phases = _pattern_phases(doc, run.config_path)
     tolerance = run.tolerance if run.tolerance is not None else 1e-10
-    pattern = diffraction.quadrupole_pattern(phases, tolerance)
+    pattern = _pattern(doc, run.config_path, tolerance)
     if run.out_path.endswith(".json"):
         _write(
             run.out_path,

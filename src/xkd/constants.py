@@ -56,11 +56,3 @@ def field_amplitude_squared(intensity: float) -> float:
 def field_amplitude(intensity: float) -> float:
     """Gaussian-convention E0 in (J/m^3)**0.5; pairs with ``E2_GAUSS**0.5``."""
     return math.sqrt(field_amplitude_squared(intensity))
-
-
-def ev_to_joules(energy_ev: float) -> float:
-    return energy_ev * EV
-
-
-def joules_to_ev(energy_j: float) -> float:
-    return energy_j / EV

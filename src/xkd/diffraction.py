@@ -72,6 +72,10 @@ class TruncationError(RuntimeError):
     magnitude is outside the physically sensible range."""
 
 
+class PhaseRangeError(TruncationError, ValueError):
+    """A phase beyond the |xi| <= 1e4 range: bad input, hence a ValueError."""
+
+
 # ---------------------------------------------------------------------------
 # Bessel functions of the first kind
 # ---------------------------------------------------------------------------
@@ -248,16 +252,24 @@ class DiffractionPattern:
 
     def amplitude(self, q: int) -> complex:
         """Amplitude at order q (0 when q lies outside the kept support)."""
-        idx = np.searchsorted(self.orders, q)
-        if idx < len(self.orders) and self.orders[idx] == q:
-            return complex(self.amplitudes[idx])
-        return 0.0 + 0.0j
+        return complex(self.amplitudes_at(q)[0])
 
     def intensity(self, q: int) -> float:
-        idx = np.searchsorted(self.orders, q)
-        if idx < len(self.orders) and self.orders[idx] == q:
-            return float(self.intensities[idx])
-        return 0.0
+        return float(self.intensities_at(q)[0])
+
+    def amplitudes_at(self, qs) -> np.ndarray:
+        """Amplitudes at the orders ``qs``, 0 outside the kept support."""
+        qs = np.atleast_1d(qs)
+        idx = np.searchsorted(self.orders, qs)
+        hit = idx < len(self.orders)
+        hit[hit] = self.orders[idx[hit]] == qs[hit]
+        out = np.zeros(qs.shape, complex)
+        out[hit] = self.amplitudes[idx[hit]]
+        return out
+
+    def intensities_at(self, qs) -> np.ndarray:
+        amps = self.amplitudes_at(qs)
+        return amps.real**2 + amps.imag**2
 
 
 def _check_tolerance(tolerance: float):
@@ -280,7 +292,7 @@ def _truncated_bessel(xi: float, share: float, half_orders: int | None = None) -
     if xi == 0.0:
         return np.array([1.0])
     if not math.isfinite(xi) or abs(xi) > _MAX_BESSEL_ARG:
-        raise TruncationError(f"phase magnitude {xi!r} is outside the physical range")
+        raise PhaseRangeError(f"phase {xi!r} is beyond the {_MAX_BESSEL_ARG:g} rad range")
     n = _rule_half_orders(xi) if half_orders is None else int(half_orders)
     while True:
         row = _bessel_row(abs(xi), n)

@@ -16,8 +16,8 @@ convention or documentation rather than by the data:
   amplitudes R2 = hypot(theta0, thetaA2), R4 = hypot(thetaA2/2, thetaC4)
   and one relative phase (spatial translations of the grating drop out of
   the intensities), so a handful of distinct tied triples can reproduce a
-  pattern exactly.  :func:`equivalent_triples` enumerates them; a fit
-  converges to the representative nearest its starting point.
+  pattern exactly.  :func:`equivalent_triples` enumerates them as roots of
+  a quartic; a fit converges to the representative nearest its start.
 
 Flipping thetaA2 (with its tied 4k companion) mirrors the pattern instead,
 so its sign is carried by the +q/-q asymmetry; data symmetrised over +-q
@@ -168,10 +168,8 @@ def _dipole_model(theta: float, orders: np.ndarray) -> np.ndarray:
 
 def _quad_model(params: np.ndarray, orders: np.ndarray) -> np.ndarray:
     theta0, theta_a2, theta_c4 = (float(v) for v in params)
-    pattern = diffraction.quadrupole_pattern(
-        PhaseSet(theta0, theta_a2, 0.5 * theta_a2, theta_c4)
-    )
-    return np.array([pattern.intensity(int(q)) for q in orders])
+    pattern = diffraction.quadrupole_pattern(PhaseSet(theta0, theta_a2, 0.5 * theta_a2, theta_c4))
+    return pattern.intensities_at(orders)
 
 
 def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
@@ -366,67 +364,63 @@ def equivalent_triples(
     ``delta = phi4 - 2 phi2`` up to the reflection class ``pi - delta``.
     Each tied triple in that class solves
 
-        R4 sin(delta + 2 phi) = (R2 / 2) sin(phi)
+        g(phi) = R4 sin(delta + 2 phi) - (R2 / 2) sin(phi) = 0
 
-    for the free angle phi; this enumerates the real roots, rebuilds the
-    candidate triples, and keeps those whose pattern matches the original
-    within ``match_tol`` per order.  The input triple is always included.
+    for the free angle phi.  With t = tan(phi/2), (1 + t^2)^2 g is the quartic
+    [s, -4c - R2, -6s, 4c - R2, s] in t, s = R4 sin(delta), c = R4 cos(delta).
+    Its nearly real roots, polished by a few Newton steps on g, are the
+    candidates; phi = pi joins them when s vanishes, since the root t = inf
+    then drops out.  A root whose cell of a fixed 8196-point grid brackets a
+    sign change of g is finished by bisecting that cell, so no member hangs on
+    the last bits of the quartic's roots.  A candidate ``(R2 cos phi,
+    R2 sin phi, R4 cos(delta + 2 phi))`` is kept when it lies 1e-9 or more from
+    every earlier one and its pattern matches within ``match_tol`` per order.
+    The input triple always comes first.
     """
-    base = diffraction.quadrupole_pattern(
-        PhaseSet(theta0, thetaA2, 0.5 * thetaA2, thetaC4)
-    )
+    def pattern_of(t: tuple[float, float, float]) -> diffraction.DiffractionPattern:
+        return diffraction.quadrupole_pattern(PhaseSet(t[0], t[1], 0.5 * t[1], t[2]))
+
+    base = pattern_of((theta0, thetaA2, thetaC4))
     r2 = math.hypot(theta0, thetaA2)
     r4 = math.hypot(0.5 * thetaA2, thetaC4)
     found: list[tuple[float, float, float]] = []
 
     def consider(candidate: tuple[float, float, float]):
-        for known in found:
-            if max(abs(a - b) for a, b in zip(candidate, known)) < 1e-9:
-                return
-        pattern = diffraction.quadrupole_pattern(
-            PhaseSet(candidate[0], candidate[1], 0.5 * candidate[1], candidate[2])
-        )
-        qs = set(map(int, base.orders)) | set(map(int, pattern.orders))
-        dev = max(abs(base.intensity(q) - pattern.intensity(q)) for q in qs)
-        if dev <= match_tol:
+        if any(max(abs(a - b) for a, b in zip(candidate, known)) < 1e-9 for known in found):
+            return
+        pattern = pattern_of(candidate)
+        qs = np.union1d(base.orders, pattern.orders)
+        if np.max(np.abs(base.intensities_at(qs) - pattern.intensities_at(qs))) <= match_tol:
             found.append(candidate)
 
     consider((theta0, thetaA2, thetaC4))
-    if r2 == 0.0 and r4 == 0.0:
-        return found
     phi2 = math.atan2(thetaA2, theta0)
     phi4 = math.atan2(0.5 * thetaA2, thetaC4)
     delta = phi4 - 2.0 * phi2
+    step = 2.0 * math.pi / 8192
+    grid = np.linspace(-math.pi, math.pi + 3 * step, 8196)
     for delta_c in (delta, math.pi - delta):
 
         def g(phi):
             return r4 * math.sin(delta_c + 2.0 * phi) - 0.5 * r2 * math.sin(phi)
 
-        # scan a little past one period so roots sitting on the boundary
-        # (where float sin(pi) != 0) are still bracketed
-        step = 2.0 * math.pi / 8192
-        grid = np.linspace(-math.pi, math.pi + 3 * step, 8196)
-        for a, b in zip(grid[:-1], grid[1:]):
-            ga, gb = g(a), g(b)
-            if ga == 0.0:
-                root = a
-            elif ga * gb < 0.0:
-                lo, hi = a, b
+        s, c = r4 * math.sin(delta_c), r4 * math.cos(delta_c)
+        roots = np.roots([s, -4.0 * c - r2, -6.0 * s, 4.0 * c - r2, s])
+        phis = [2.0 * math.atan(t.real) for t in roots if abs(t.imag) <= 1e-6 * (1.0 + abs(t))]
+        if abs(s) <= 1e-9 * r4:
+            phis.append(math.pi)
+        for phi in sorted(phis):
+            for _ in range(3):
+                slope = 2.0 * r4 * math.cos(delta_c + 2.0 * phi) - 0.5 * r2 * math.cos(phi)
+                phi -= g(phi) / slope if slope else 0.0
+            k = int(np.searchsorted(grid, phi, side="right")) - 1
+            if 0 <= k < len(grid) - 1 and g(grid[k]) * g(grid[k + 1]) < 0.0:
+                lo, hi = grid[k], grid[k + 1]
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
-                    if g(lo) * g(mid) <= 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
-                root = 0.5 * (lo + hi)
-            else:
-                continue
-            cand = (
-                r2 * math.cos(root),
-                r2 * math.sin(root),
-                r4 * math.cos(delta_c + 2.0 * root),
-            )
-            consider(cand)
+                    lo, hi = (lo, mid) if g(lo) * g(mid) <= 0.0 else (mid, hi)
+                phi = 0.5 * (lo + hi)
+            consider((r2 * math.cos(phi), r2 * math.sin(phi), r4 * math.cos(delta_c + 2.0 * phi)))
     return found
 
 

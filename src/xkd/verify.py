@@ -47,8 +47,10 @@ class CheckResult:
 
 
 def _pattern_pair_dev(p1, p2) -> float:
-    qs = sorted(set(map(int, p1.orders)) | set(map(int, p2.orders)))
-    return max(abs(p1.amplitude(q) - p2.amplitude(q)) for q in qs)
+    qs = np.union1d(p1.orders, p2.orders)
+    diff = p1.amplitudes_at(qs) - p2.amplitudes_at(qs)
+    # hypot, as abs(complex) is, so the deviation keeps its last bit
+    return float(np.max(np.hypot(diff.real, diff.imag)))
 
 
 def _random_model(rng: np.random.Generator, tau: float, k_l: float):

@@ -451,6 +451,27 @@ def test_known_breaks_exit_one_naming_the_key(case):
     assert f"'{keys[-1]}'" in err, err
 
 
+def test_pattern_phase_beyond_the_engine_range_exits_one(tmp_path, capsys):
+    # a finite phase of about -1e6 rad: bad input, not a numeric failure
+    cfg = write_json(tmp_path / "far.json",
+                     {"wavelength_m": 5e-10, "tau_s": 1e-6, "U0_eV": -0.0013})
+    out = tmp_path / "p.csv"
+    assert cli.main(["pattern", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'tau_s'" in err and "'U0_eV'" in err and "numeric failure" not in err
+    assert not out.exists()
+
+
+def test_quadrupole_fit_start_beyond_the_engine_range_exits_one(tmp_path, capsys):
+    doc = {**BASES["fit_quadrupole"][1], "init": {"theta0": 2e4}}
+    cfg = write_json(tmp_path / "fit.json", doc)
+    out = tmp_path / "fit_out.json"
+    assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "'init'" in err and "numeric failure" not in err
+    assert not out.exists()
+
+
 def test_tolerance_out_of_reach_exits_three(tmp_path, capsys):
     out = tmp_path / "p.csv"
     argv = ["pattern", "--config", str(CONFIGS / "pattern_quadrupole.json"),

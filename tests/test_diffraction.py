@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import xkd
-from xkd import diffraction
+from xkd import diffraction, verify
 from xkd.constants import HBAR
 from xkd.diffraction import (
     DiffractionPattern,
@@ -120,6 +120,16 @@ class TestDipolePattern:
     def test_truncation_failure_on_absurd_phase(self):
         with pytest.raises(TruncationError):
             dipole_pattern(1e6)
+
+    def test_only_an_out_of_range_phase_is_bad_input(self):
+        # beyond |xi| <= 1e4 the input is at fault (a ValueError, so the CLI
+        # exits 1); an unreachable tolerance stays a numeric failure
+        with pytest.raises(diffraction.PhaseRangeError) as info:
+            dipole_pattern(1e6)
+        assert isinstance(info.value, TruncationError) and isinstance(info.value, ValueError)
+        with pytest.raises(TruncationError) as info:
+            dipole_pattern(9000.0, tolerance=1e-16)
+        assert not isinstance(info.value, ValueError)
 
     def test_truncation_failure_at_the_order_cap(self):
         # a legal phase whose tail cannot fall below 1e-16 in rounding: the
@@ -314,6 +324,15 @@ class TestOracle:
             )
         assert worst < 1e-9
 
+    def test_verify_deviation_keeps_the_bits_of_the_order_loop(self):
+        # verify's one-search deviation against the per-order loop it replaced
+        rng = np.random.default_rng(7)
+        for _ in range(8):
+            m = model_from_phases(*rng.uniform(-3, 3, 3))
+            analytic = quadrupole_pattern(phases_from_potential(m, TAU))
+            oracle = phase_grating_oracle(m, TAU)
+            assert verify._pattern_pair_dev(analytic, oracle) == pattern_max_dev(analytic, oracle)
+
 
 class TestPatternType:
     def test_intensity_is_exact_square(self):
@@ -334,6 +353,28 @@ class TestPatternType:
         p = dipole_pattern(0.5)
         assert p.amplitude(10**6) == 0.0
         assert p.intensity(10**6) == 0.0
+
+    def test_vector_lookup_matches_the_scalar_one(self):
+        p = quadrupole_pattern(PhaseSet(1.1, 0.4, 0.2, -0.6))
+        lo, hi = int(p.orders[0]), int(p.orders[-1])
+        qs = [lo - 4, lo - 2, lo, lo + 2, -2, 0, 2, 3, hi - 2, hi, hi + 2, hi + 4,
+              -10**6, 10**6]
+        amp_of = dict(zip(p.orders.tolist(), p.amplitudes.tolist()))
+        intensity_of = dict(zip(p.orders.tolist(), p.intensities.tolist()))
+        amps, intens = p.amplitudes_at(qs), p.intensities_at(qs)
+        assert amps.shape == intens.shape == (len(qs),)
+        for q, a, i in zip(qs, amps, intens):
+            assert a == p.amplitude(q) == amp_of.get(q, 0.0)
+            assert i == p.intensity(q) == intensity_of.get(q, 0.0)
+        assert amps[0] == amps[-1] == intens[0] == intens[-1] == 0.0
+        assert p.intensities_at(p.orders).tolist() == p.intensities.tolist()
+        assert p.amplitudes_at(2).tolist() == [p.amplitude(2)]
+
+    def test_vector_lookup_on_an_empty_pattern(self):
+        p = DiffractionPattern(orders=np.array([], dtype=int), amplitudes=np.array([]),
+                               truncation_order=0, truncation_residual=1.0)
+        assert p.amplitudes_at([0, 2]).tolist() == [0.0, 0.0]
+        assert p.intensity(0) == 0.0
 
     def test_arrays_are_frozen(self):
         p = dipole_pattern(0.5)

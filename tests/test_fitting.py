@@ -31,6 +31,90 @@ def tied(theta0, theta_a2=0.0, theta_c4=0.0):
     return PhaseSet(theta0, theta_a2, 0.5 * theta_a2, theta_c4)
 
 
+def assert_same_members(got, expected, tol):
+    """Equal sets of triples, member for member within ``tol``."""
+    assert len(got) == len(expected), (got, expected)
+    for e in expected:
+        assert any(max(abs(a - b) for a, b in zip(g, e)) <= tol for g in got), (e, got)
+
+
+def scan_equivalent_triples(theta0, thetaA2, thetaC4, match_tol=1e-12):
+    """Reference: the tied triples found by scanning g for sign changes on an
+    8196-point grid and bisecting each bracket 80 times (no closed form)."""
+    base = quadrupole_pattern(tied(theta0, thetaA2, thetaC4))
+    r2, r4 = math.hypot(theta0, thetaA2), math.hypot(0.5 * thetaA2, thetaC4)
+    delta = math.atan2(0.5 * thetaA2, thetaC4) - 2.0 * math.atan2(thetaA2, theta0)
+    found = []
+
+    def consider(cand):
+        if any(max(abs(a - b) for a, b in zip(cand, k)) < 1e-9 for k in found):
+            return
+        pattern = quadrupole_pattern(tied(*cand))
+        qs = set(map(int, base.orders)) | set(map(int, pattern.orders))
+        if max(abs(base.intensity(q) - pattern.intensity(q)) for q in qs) <= match_tol:
+            found.append(cand)
+
+    consider((theta0, thetaA2, thetaC4))
+    step = 2.0 * math.pi / 8192
+    grid = np.linspace(-math.pi, math.pi + 3 * step, 8196)
+    for dc in (delta, math.pi - delta):
+
+        def g(phi):
+            return r4 * math.sin(dc + 2.0 * phi) - 0.5 * r2 * math.sin(phi)
+
+        for a, b in zip(grid[:-1], grid[1:]):
+            if g(a) * g(b) < 0.0:
+                lo, hi = a, b
+                for _ in range(80):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (lo, mid) if g(lo) * g(mid) <= 0.0 else (mid, hi)
+                phi = 0.5 * (lo + hi)
+                consider((r2 * math.cos(phi), r2 * math.sin(phi), r4 * math.cos(dc + 2.0 * phi)))
+    return found
+
+
+# equivalent_triples as found by the 8196-point sign-change scan with 80-step
+# bisections, sorted; the closed form must reproduce these sets
+SCAN_MEMBERS = {
+    (0.8, 0.2, -0.05): [
+        (-0.8010746164966396, 0.1956513705670419, 0.05413072416668313),
+        (-0.8, 0.20000000000000015, 0.05000000000000004),
+        (0.8, 0.2, -0.05),
+        (0.8010746164966396, 0.19565137056704177, -0.054130724166683054),
+    ],
+    (1.1, -0.7, 0.9): [
+        (-1.2510252069624996, 0.36733626494594146, 0.9480327088839771),
+        (-1.0999999999999999, -0.7000000000000002, -0.8999999999999999),
+        (-0.8015126297520215, 1.0283858732732567, 0.8173772837025743),
+        (-0.014026296784158942, -1.3037650336615576, -0.7124248621787207),
+        (0.014026296784159101, -1.3037650336615576, 0.7124248621787207),
+        (0.8015126297520206, 1.0283858732732574, -0.8173772837025753),
+        (1.1, -0.7, 0.9),
+        (1.2510252069624999, 0.3673362649459412, -0.9480327088839768),
+    ],
+    (0.9, 0.0, 0.4): [
+        (-0.9, -1.1021821192326179e-16, -0.4),
+        (-0.9, 1.1021821192326179e-16, 0.4),
+        (-0.5062500000000002, -0.744117556236916, 0.14687499999999976),
+        (-0.5062500000000002, 0.744117556236916, 0.14687499999999984),
+        (0.50625, -0.7441175562369161, -0.14687500000000006),
+        (0.50625, 0.7441175562369161, -0.14687500000000006),
+        (0.9, 0.0, 0.4),
+        (0.9, 9.797174393177548e-17, -0.4),
+    ],
+    (-1.3, 2.1, 0.6): [
+        (-2.469378779965067, 0.04656652293479453, 1.209114506461419),
+        (-2.465636525089571, -0.1436541894419577, -1.2072037394176443),
+        (-1.3, 2.1, 0.6),
+        (-1.2216909728242142, -2.146502077082579, 0.557343886904704),
+        (1.2216909728242136, -2.146502077082579, -0.5573438869047048),
+        (1.2999999999999996, 2.1, -0.5999999999999992),
+        (2.465636525089571, -0.14365418944195904, 1.207203739417644),
+        (2.469378779965067, 0.04656652293479425, -1.209114506461419),
+    ],
+}
+
+
 class TestObservedPattern:
     def test_rejects_odd_order(self):
         with pytest.raises(ValueError, match="odd"):
@@ -215,6 +299,71 @@ class TestEquivalentTriples:
         triples = equivalent_triples(0.7, 0.0, 0.0)
         signs = sorted(round(t[0], 9) for t in triples)
         assert signs == [-0.7, 0.7]
+
+    def test_zero_phases_have_one_member(self):
+        # R2 = R4 = 0: the quartic is all zeros and only phi = pi is tried,
+        # which rebuilds the input triple itself
+        assert equivalent_triples(0.0, 0.0, 0.0) == [(0.0, 0.0, 0.0)]
+
+    @pytest.mark.parametrize("triple", sorted(SCAN_MEMBERS))
+    def test_members_match_the_grid_scan(self, triple):
+        assert_same_members(equivalent_triples(*triple), SCAN_MEMBERS[triple], 1e-12)
+
+    def test_members_equal_the_scan_to_the_bit(self):
+        # each root bracketed by a grid cell is bisected in that cell, so a
+        # member carries the same float as the scan's, not just a close one
+        rng = np.random.default_rng(801)
+        for _ in range(4):
+            triple = tuple(float(v) for v in rng.uniform(-3.0, 3.0, 3))
+            assert sorted(equivalent_triples(*triple)) == sorted(scan_equivalent_triples(*triple))
+
+    def test_phi_pi_root_when_sin_delta_vanishes(self):
+        # thetaA2 = 0 gives delta = 0: the quartic's leading coefficient
+        # R4 sin(delta) is exactly 0, and the members at phi = pi (theta0
+        # flipped to -0.9) come from the added root, not from np.roots
+        triples = equivalent_triples(0.9, 0.0, 0.4)
+        assert_same_members(triples, SCAN_MEMBERS[(0.9, 0.0, 0.4)], 1e-12)
+        flipped = [t for t in triples if abs(t[0] + 0.9) < 1e-12]
+        assert sorted(round(t[2], 12) for t in flipped) == [-0.4, 0.4]
+
+    def test_near_tangent_roots_are_both_found(self):
+        # g(phi) = R4 sin(delta + 2 phi) - (R2/2) sin(phi) has a double root
+        # at phi = 1 for delta0; delta0 + 1e-9 splits it into two real roots
+        # 3e-5 rad apart, inside one cell of a 2 pi / 8192 grid, where a
+        # sign-change scan sees nothing
+        r2, phi_double = 1.0, 1.0
+        a, b = 0.5 * r2 * math.sin(phi_double), 0.25 * r2 * math.cos(phi_double)
+        r4, delta = math.hypot(a, b), math.atan2(a, b) - 2.0 * phi_double + 1e-9
+
+        def g(phi):
+            return r4 * math.sin(delta + 2.0 * phi) - 0.5 * r2 * math.sin(phi)
+
+        lo, hi = -0.8, -0.7           # a simple root, which gives the input
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if g(lo) * g(mid) <= 0.0 else (mid, hi)
+        triple = (r2 * math.cos(lo), r2 * math.sin(lo), r4 * math.cos(delta + 2.0 * lo))
+        triples = equivalent_triples(*triple)
+        near = sorted(math.atan2(t[1], t[0]) for t in triples
+                      if abs(math.atan2(t[1], t[0]) - phi_double) < 1e-3)
+        assert len(near) == 2
+        assert 1e-6 < near[1] - near[0] < 1e-4
+        assert len(triples) == 8
+
+    @pytest.mark.parametrize("triple", [(0.8, 0.2, -0.05), (1.1, -0.7, 0.9), (-1.3, 2.1, 0.6)])
+    def test_every_member_gives_back_the_same_set(self, triple):
+        members = equivalent_triples(*triple)
+        for member in members:
+            assert_same_members(equivalent_triples(*member), members, 1e-9)
+
+    @pytest.mark.parametrize("triple", [(0.8, 0.2, -0.05), (1.1, -0.7, 0.9), (0.9, 0.0, 0.4),
+                                        (-1.3, 2.1, 0.6), (2.7, -0.3, -2.2)])
+    def test_members_keep_the_harmonic_amplitudes(self, triple):
+        r2 = math.hypot(triple[0], triple[1])
+        r4 = math.hypot(0.5 * triple[1], triple[2])
+        for t0, a2, c4 in equivalent_triples(*triple):
+            assert math.hypot(t0, a2) == pytest.approx(r2, abs=1e-12)
+            assert math.hypot(0.5 * a2, c4) == pytest.approx(r4, abs=1e-12)
 
 
 class TestWeights:
