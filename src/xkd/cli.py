@@ -36,21 +36,7 @@ from .potentials import (
     quadrupole_scales,
 )
 
-__all__ = ["main", "RunConfig"]
-
-
-class ConfigError(ValueError):
-    """Bad scenario config; the message names the offending key."""
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    command: str                      # pattern | plan | fit | verify
-    config_path: str | None = None
-    out_path: str | None = None
-    tolerance: float | None = None
-    plot: bool = False
-    seed: int = 0
+__all__ = ["main"]
 
 
 @contextlib.contextmanager
@@ -59,11 +45,11 @@ def _blame(doc: dict, where: str, *keys: str):
     overflows) against those of them that ``doc`` holds."""
     try:
         yield
-    except (ConfigError, CatalogError, np.linalg.LinAlgError):
+    except (CatalogError, np.linalg.LinAlgError):
         raise
     except (ValueError, ArithmeticError) as exc:
         names = ", ".join(f"'{key}'" for key in keys if key in doc)
-        raise ConfigError(f"{where}: keys {names} give an unusable value: {exc}") from exc
+        raise CatalogError(f"{where}: keys {names} give an unusable value: {exc}") from exc
 
 
 def _resolve_atom(doc: dict, where: str) -> AtomSpecies:
@@ -74,9 +60,9 @@ def _resolve_atom(doc: dict, where: str) -> AtomSpecies:
     try:
         catalog = bundled_catalog() if catalog_path is None else load_catalog(catalog_path)
     except (OSError, CatalogError) as exc:
-        raise ConfigError(f"{where}: key 'catalog': {exc}") from exc
+        raise CatalogError(f"{where}: key 'catalog': {exc}") from exc
     if selector not in catalog:
-        raise ConfigError(
+        raise CatalogError(
             f"{where}: key 'atom': unknown species '{selector}' "
             f"(catalog has: {', '.join(sorted(catalog))})"
         )
@@ -87,7 +73,7 @@ def _pattern(doc: dict, where: str, tolerance: float) -> diffraction.Diffraction
     tau, wavelength = (_need(doc, key, where, positive=True) for key in ("tau_s", "wavelength_m"))
     direct = "U0_eV" in doc
     if direct == ("atom" in doc):
-        raise ConfigError(
+        raise CatalogError(
             f"{where}: give exactly one of key 'U0_eV' (with optional "
             f"'UA_eV'/'UC_eV') or key 'atom' (with 'intensity_W_m2')"
         )
@@ -151,39 +137,38 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-def cmd_pattern(run: RunConfig) -> int:
-    doc = _read_object(run.config_path)
-    tolerance = run.tolerance if run.tolerance is not None else 1e-10
-    pattern = _pattern(doc, run.config_path, tolerance)
-    if run.out_path.endswith(".json"):
+def cmd_pattern(args: argparse.Namespace) -> int:
+    doc = _read_object(args.config)
+    pattern = _pattern(doc, args.config, args.tolerance)
+    if args.out.endswith(".json"):
         _write(
-            run.out_path,
+            args.out,
             json.dumps(diffraction.pattern_to_dict(pattern), indent=2, sort_keys=True)
             + "\n",
         )
     else:
-        _write(run.out_path, diffraction.intensities_csv(pattern))
-    if run.plot:
-        _write(os.path.splitext(run.out_path)[0] + ".svg", _pattern_svg(pattern))
+        _write(args.out, diffraction.intensities_csv(pattern))
+    if args.plot:
+        _write(os.path.splitext(args.out)[0] + ".svg", _pattern_svg(pattern))
     print(
         f"pattern: {len(pattern.orders)} orders up to |q| = "
         f"{pattern.truncation_order}, truncation residual "
-        f"{pattern.truncation_residual:.3e} (tolerance {tolerance:.0e})"
+        f"{pattern.truncation_residual:.3e} (tolerance {args.tolerance:.0e})"
     )
-    print(f"wrote {run.out_path}")
+    print(f"wrote {args.out}")
     return 0
 
 
-def cmd_plan(run: RunConfig) -> int:
-    doc = _read_object(run.config_path)
-    where = run.config_path
+def cmd_plan(args: argparse.Namespace) -> int:
+    doc = _read_object(args.config)
+    where = args.config
     atom = _resolve_atom(doc, where)
     wavelength = _need(doc, "wavelength_m", where, positive=True)
     pulse = _need(doc, "pulse_duration_s", where, positive=True)
     spot = _need(doc, "spot_radius_m", where, positive=True)
     has_target = "U_target_eV" in doc
     if has_target == ("intensity_W_m2" in doc):
-        raise ConfigError(
+        raise CatalogError(
             f"{where}: give exactly one of key 'intensity_W_m2' or key 'U_target_eV'"
         )
     drive = _need(doc, "U_target_eV" if has_target else "intensity_W_m2", where, nonnegative=True)
@@ -206,8 +191,8 @@ def cmd_plan(run: RunConfig) -> int:
     payload["atom"] = atom.name
     payload["intensity_W_m2"] = laser.intensity
     payload["U_target_eV"] = u_target / EV
-    if run.out_path:
-        _write(run.out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    if args.out:
+        _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     rows = [
         ("recoil energy", f"{report.recoil_energy:.6e} eV"),
@@ -229,21 +214,21 @@ def cmd_plan(run: RunConfig) -> int:
         print(f"flag {name:<28s} {'PASS' if ok else 'FAIL'}")
     for note in report.notes:
         print(f"note: {note}")
-    if run.out_path:
-        print(f"wrote {run.out_path}")
+    if args.out:
+        print(f"wrote {args.out}")
     return 0 if report.flags.all_pass() else 2
 
 
-def cmd_fit(run: RunConfig) -> int:
-    doc = _read_object(run.config_path)
-    where = run.config_path
+def cmd_fit(args: argparse.Namespace) -> int:
+    doc = _read_object(args.config)
+    where = args.config
     csv_path = _need(doc, "observations_csv", where, str)
     if not os.path.exists(csv_path):
-        raise ConfigError(f"{where}: key 'observations_csv': no such file {csv_path}")
+        raise CatalogError(f"{where}: key 'observations_csv': no such file {csv_path}")
     observed = fitting.ObservedPattern.from_csv(csv_path)
     model = _need(doc, "model", where, str)
     if model not in ("dipole", "quadrupole"):
-        raise ConfigError(f"{where}: key 'model' must be 'dipole' or 'quadrupole'")
+        raise CatalogError(f"{where}: key 'model' must be 'dipole' or 'quadrupole'")
     with _blame(doc, where, "observations_csv", "theta0_init" if model == "dipole" else "init"):
         if model == "dipole":
             result = fitting.fit_dipole(observed, _need(doc, "theta0_init", where, default=0.5))
@@ -268,7 +253,7 @@ def cmd_fit(run: RunConfig) -> int:
             )
             estimate = fitting.polarizability_estimates(result, laser, laser.pulse_duration)
         payload["polarizabilities"] = dataclasses.asdict(estimate)
-    _write(run.out_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     print(
         f"fit ({model}): theta0 = {result.theta0_hat:.8f}, "
@@ -279,17 +264,16 @@ def cmd_fit(run: RunConfig) -> int:
         f"converged: {result.converged}"
     )
     print(result.covariance_note)
-    print(f"wrote {run.out_path}")
+    print(f"wrote {args.out}")
     return 0 if result.converged else 2
 
 
-def cmd_verify(run: RunConfig) -> int:
-    tolerance = run.tolerance if run.tolerance is not None else 1e-10
-    checks = verify_mod.run_checks(seed=run.seed, tolerance=tolerance)
-    text = verify_mod.format_report(checks, run.seed)
+def cmd_verify(args: argparse.Namespace) -> int:
+    checks = verify_mod.run_checks(seed=args.seed, tolerance=args.tolerance)
+    text = verify_mod.format_report(checks, args.seed)
     sys.stdout.write(text)
-    if run.out_path:
-        _write(run.out_path, text)
+    if args.out:
+        _write(args.out, text)
     return 0 if all(c.passed for c in checks) else 3
 
 
@@ -315,7 +299,7 @@ def _build_parser() -> _Parser:
     )
     p_pattern.add_argument("--config", required=True, help="scenario JSON")
     p_pattern.add_argument("--out", required=True, help="output CSV (or .json)")
-    p_pattern.add_argument("--tolerance", type=float, default=None)
+    p_pattern.add_argument("--tolerance", type=float, default=1e-10)
     p_pattern.add_argument("--plot", action="store_true", help="also write an SVG chart")
 
     p_plan = sub.add_parser("plan", help="evaluate the feasibility envelope")
@@ -329,7 +313,7 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run the seeded self-check suite")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", default=None, help="report text file")
-    p_verify.add_argument("--tolerance", type=float, default=None)
+    p_verify.add_argument("--tolerance", type=float, default=1e-10)
 
     return parser
 
@@ -337,18 +321,11 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    run = RunConfig(
-        command=args.command,
-        config_path=getattr(args, "config", None),
-        out_path=getattr(args, "out", None),
-        tolerance=getattr(args, "tolerance", None),
-        plot=getattr(args, "plot", False),
-        seed=getattr(args, "seed", 0),
-    )
-    if run.config_path is not None and not os.path.exists(run.config_path):
-        print(f"xkd: no such config file: {run.config_path}", file=sys.stderr)
+    config = getattr(args, "config", None)
+    if config is not None and not os.path.exists(config):
+        print(f"xkd: no such config file: {config}", file=sys.stderr)
         return 1
-    if run.tolerance is not None and not (0.0 < run.tolerance <= 1e-3):
+    if not 0.0 < getattr(args, "tolerance", 1e-10) <= 1e-3:
         print("xkd: --tolerance must be in (0, 1e-3]", file=sys.stderr)
         return 1
     handler = {
@@ -356,9 +333,9 @@ def main(argv=None) -> int:
         "plan": cmd_plan,
         "fit": cmd_fit,
         "verify": cmd_verify,
-    }[run.command]
+    }[args.command]
     try:
-        return handler(run)
+        return handler(args)
     # LinAlgError is a ValueError, so it must be caught before invalid input
     except (diffraction.TruncationError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"xkd: numeric failure: {exc}", file=sys.stderr)

@@ -25,7 +25,6 @@ E_CHARGE = 1.602176634e-19         # elementary charge, C (exact)
 EV = 1.602176634e-19               # 1 eV in J
 EPS0 = 8.8541878128e-12            # vacuum permittivity, F/m
 M_PROTON = 1.67262192369e-27       # kg
-M_U = 1.66053906660e-27            # atomic mass constant, kg
 R_BOHR = 5.29177210903e-11         # Bohr radius, m
 
 # Gaussian-convention squared electron charge, J*m  (e^2/r is an energy)

@@ -180,11 +180,10 @@ class PhaseSet:
     thetaA2: float = 0.0
     thetaA4: float = 0.0
     thetaC4: float = 0.0
-    global_phase: float | None = None
+    global_phase: float = field(init=False)
 
     def __post_init__(self):
-        if self.global_phase is None:
-            object.__setattr__(self, "global_phase", self.theta0 - self.thetaC4)
+        object.__setattr__(self, "global_phase", self.theta0 - self.thetaC4)
         for name in ("theta0", "thetaA2", "thetaA4", "thetaC4", "global_phase"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -206,7 +205,6 @@ def phases_from_potential(model: PotentialModel, tau: float) -> PhaseSet:
         thetaA2=theta_a2,
         thetaA4=0.5 * theta_a2,
         thetaC4=theta_c4,
-        global_phase=theta0 - theta_c4,
     )
 
 
@@ -282,7 +280,7 @@ def _rule_half_orders(xi: float) -> int:
     return int(math.ceil(a + 8.0 * a ** (1.0 / 3.0) + 12.0))
 
 
-def _truncated_bessel(xi: float, share: float, half_orders: int | None = None) -> np.ndarray:
+def _truncated_bessel(xi: float, share: float) -> np.ndarray:
     """J_n(xi) for n = -N..N with the tail probability below ``share``.
 
     Returns the signed row (J_{-n} = (-1)^n J_n).  xi = 0 collapses to the
@@ -293,11 +291,11 @@ def _truncated_bessel(xi: float, share: float, half_orders: int | None = None) -
         return np.array([1.0])
     if not math.isfinite(xi) or abs(xi) > _MAX_BESSEL_ARG:
         raise PhaseRangeError(f"phase {xi!r} is beyond the {_MAX_BESSEL_ARG:g} rad range")
-    n = _rule_half_orders(xi) if half_orders is None else int(half_orders)
+    n = _rule_half_orders(xi)
     while True:
         row = _bessel_row(abs(xi), n)
         tail = 1.0 - (row[0] ** 2 + 2.0 * float(np.sum(row[1:] ** 2)))
-        if half_orders is not None or tail < share:
+        if tail < share:
             break
         if n >= _MAX_HALF_ORDERS:
             raise TruncationError(
@@ -373,19 +371,16 @@ def _convolve_rows(rows) -> np.ndarray:
 def dipole_pattern(
     theta0: float,
     tolerance: float = 1e-10,
-    half_orders: int | None = None,
     k0: float = 0.0,
 ) -> DiffractionPattern:
     """Diffraction orders of the pure cos^2 grating.
 
     Order q = 2n carries amplitude i^n J_n(theta0), intensity J_n(theta0)^2;
     the symmetric truncation keeps the discarded probability below
-    ``tolerance``.  theta0 = U0 tau / 2 hbar.  ``half_orders`` forces a
-    fixed truncation instead (diagnostic hook: the reported residual is then
-    whatever that support leaves out, tolerance unenforced).
+    ``tolerance``.  theta0 = U0 tau / 2 hbar.
     """
     _check_tolerance(tolerance)
-    row = _truncated_bessel(float(theta0), tolerance, half_orders)
+    row = _truncated_bessel(float(theta0), tolerance)
     n = (len(row) - 1) // 2
     half = np.arange(-n, n + 1)
     amps = _i_powers(half) * row

@@ -45,7 +45,7 @@ __all__ = [
 DEFAULT_INTERACTION_VOLUME = 1e-12   # m^3
 DEFAULT_MIN_PHOTONS = 1e6
 
-# pass bands for the planning flags (documented conventions, overridable)
+# pass bands for the planning flags (documented conventions)
 VISIBILITY_BAND = 3.0               # |U| tau / hbar within (1/3, 3)
 MAX_GAMMA_TAU = 0.1                 # ionized fraction below ~10%
 
@@ -216,9 +216,6 @@ def plan_experiment(
     U_target: float,
     volume: float = DEFAULT_INTERACTION_VOLUME,
     min_photons: float = DEFAULT_MIN_PHOTONS,
-    visibility_band: float = VISIBILITY_BAND,
-    max_gamma_tau: float = MAX_GAMMA_TAU,
-    nonlinear_intensity: float = NONLINEAR_INTENSITY,
 ) -> FeasibilityReport:
     """Compose the whole feasibility envelope for one scenario.
 
@@ -242,10 +239,10 @@ def plan_experiment(
 
     flags = FeasibilityFlags(
         diffraction_regime=ratio > 1.0,
-        visibility=(1.0 / visibility_band) < vis_phase < visibility_band,
+        visibility=(1.0 / VISIBILITY_BAND) < vis_phase < VISIBILITY_BAND,
         semiclassical=sc_ok,
-        low_ionization=gamma_tau < max_gamma_tau,
-        below_nonlinear_threshold=req_intensity < nonlinear_intensity,
+        low_ionization=gamma_tau < MAX_GAMMA_TAU,
+        below_nonlinear_threshold=req_intensity < NONLINEAR_INTENSITY,
     )
 
     notes = [

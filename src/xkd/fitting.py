@@ -150,20 +150,9 @@ class FitResult:
     degenerate: bool = False
     param_sigma: tuple[float, ...] = ()
 
-    @property
-    def phases(self) -> PhaseSet:
-        return PhaseSet(
-            theta0=self.theta0_hat,
-            thetaA2=self.thetaA2_hat,
-            thetaA4=0.5 * self.thetaA2_hat,
-            thetaC4=self.thetaC4_hat,
-        )
-
 
 def _dipole_model(theta: float, orders: np.ndarray) -> np.ndarray:
-    return np.array(
-        [diffraction.bessel_J(q // 2, theta) ** 2 for q in orders]
-    )
+    return diffraction.dipole_pattern(theta).intensities_at(orders)
 
 
 def _quad_model(params: np.ndarray, orders: np.ndarray) -> np.ndarray:

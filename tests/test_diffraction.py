@@ -139,14 +139,18 @@ class TestDipolePattern:
             dipole_pattern(9000.0, tolerance=1e-16)
 
     def test_truncation_residual_upper_bounds_discarded(self):
-        # force a visibly lossy truncation, then measure what a doubled
-        # support recovers; the reported residual must cover it
-        coarse = dipole_pattern(3.0, half_orders=4)
-        fine = dipole_pattern(3.0, half_orders=8)
-        recovered = float(np.sum(fine.intensities) - np.sum(coarse.intensities))
-        assert coarse.truncation_residual > 1e-4  # genuinely lossy
-        assert recovered <= coarse.truncation_residual + 1e-15
-        assert coarse.truncation_residual <= recovered + fine.truncation_residual + 1e-15
+        # a row over twice the support measures the probability the engine's
+        # own truncation discards: it must stay below the tolerance, and the
+        # reported residual must cover it up to the rounding of a sum over
+        # the 2N+1 kept orders (at theta0 = 300 the residual reads -12 ulp)
+        for theta0 in (3.0, 300.0, 5000.0):
+            p = dipole_pattern(theta0)
+            n = p.truncation_order // 2
+            row = diffraction._bessel_row(theta0, 2 * n)
+            discarded = 2.0 * float(np.sum(row[n + 1 :] ** 2))
+            rounding = (2 * n + 1) * np.finfo(float).eps
+            assert discarded < 1e-10, theta0
+            assert abs(p.truncation_residual - discarded) <= rounding, theta0
 
 
 class TestQuadrupolePattern:
