@@ -38,6 +38,30 @@ from .potentials import (
 
 __all__ = ["main"]
 
+# the keys each config object may hold; a command's set is the union over
+# its models, so a fit config may carry `theta0_init` next to `init`
+_PATTERN_KEYS = frozenset({"wavelength_m", "tau_s", "U0_eV", "UA_eV", "UC_eV", "atom",
+                           "catalog", "intensity_W_m2", "spot_radius_m"})
+_PLAN_KEYS = frozenset({"atom", "catalog", "wavelength_m", "pulse_duration_s", "spot_radius_m",
+                        "U_target_eV", "intensity_W_m2", "volume_m3", "min_photons"})
+_FIT_KEYS = frozenset({"observations_csv", "model", "theta0_init", "init", "laser"})
+_INIT_KEYS = frozenset({"theta0", "thetaA2", "thetaC4"})
+_LASER_KEYS = frozenset({"wavelength_m", "intensity_W_m2", "tau_s", "spot_radius_m"})
+_ATOM_KEYS = frozenset({"name", "mass_kg", "alpha_m3", "ionization_energy_eV", "sigma_table",
+                        "A_dq", "C_qq"})
+
+
+def _known(doc: dict, where: str, keys: frozenset) -> dict:
+    """``doc``, once every key in it is one of ``keys``: a misspelt optional
+    key would otherwise fall back to its default without a word."""
+    unknown = sorted(set(doc) - keys)
+    if unknown:
+        names = ", ".join(f"'{key}'" for key in unknown)
+        raise CatalogError(
+            f"{where}: unknown key {names} (known: {', '.join(sorted(keys))})"
+        )
+    return doc
+
 
 @contextlib.contextmanager
 def _blame(doc: dict, where: str, *keys: str):
@@ -55,7 +79,8 @@ def _blame(doc: dict, where: str, *keys: str):
 def _resolve_atom(doc: dict, where: str) -> AtomSpecies:
     selector = _need(doc, "atom", where, (str, dict))
     if isinstance(selector, dict):
-        return _parse_species({"name": "inline", **selector}, f"{where}: key 'atom'")
+        inline = _known(selector, f"{where}: key 'atom'", _ATOM_KEYS)
+        return _parse_species({"name": "inline", **inline}, f"{where}: key 'atom'")
     catalog_path = _need(doc, "catalog", where, str, default=None)
     try:
         catalog = bundled_catalog() if catalog_path is None else load_catalog(catalog_path)
@@ -138,7 +163,7 @@ def _write(path: str, text: str):
 
 
 def cmd_pattern(args: argparse.Namespace) -> int:
-    doc = _read_object(args.config)
+    doc = _known(_read_object(args.config), args.config, _PATTERN_KEYS)
     pattern = _pattern(doc, args.config, args.tolerance)
     if args.out.endswith(".json"):
         _write(
@@ -160,7 +185,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    doc = _read_object(args.config)
+    doc = _known(_read_object(args.config), args.config, _PLAN_KEYS)
     where = args.config
     atom = _resolve_atom(doc, where)
     wavelength = _need(doc, "wavelength_m", where, positive=True)
@@ -220,8 +245,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    doc = _read_object(args.config)
+    doc = _known(_read_object(args.config), args.config, _FIT_KEYS)
     where = args.config
+    laser_doc = _need(doc, "laser", where, dict, default=None)
+    laser_where = f"{where}: key 'laser'"
+    if laser_doc is not None:
+        _known(laser_doc, laser_where, _LASER_KEYS)
     csv_path = _need(doc, "observations_csv", where, str)
     if not os.path.exists(csv_path):
         raise CatalogError(f"{where}: key 'observations_csv': no such file {csv_path}")
@@ -233,7 +262,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if model == "dipole":
             result = fitting.fit_dipole(observed, _need(doc, "theta0_init", where, default=0.5))
         else:
-            init = _need(doc, "init", where, dict, default={})
+            init = _known(_need(doc, "init", where, dict, default={}), f"{where}: key 'init'",
+                          _INIT_KEYS)
             theta0, theta_a2, theta_c4 = (
                 _need(init, key, f"{where}: key 'init'", default=value)
                 for key, value in (("theta0", 0.5), ("thetaA2", 0.0), ("thetaC4", 0.0))
@@ -242,9 +272,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             result = fitting.fit_quadrupole(observed, start)
 
     payload = dataclasses.asdict(result)
-    laser_doc = _need(doc, "laser", where, dict, default=None)
     if laser_doc is not None:
-        laser_where = f"{where}: key 'laser'"
         with _blame(laser_doc, laser_where, "wavelength_m", "intensity_W_m2", "tau_s"):
             laser = LaserGrating(
                 *(_need(laser_doc, key, laser_where, positive=True)

@@ -39,7 +39,9 @@ touching the Bessel layer.
 
 from __future__ import annotations
 
+import contextvars
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +64,15 @@ __all__ = [
 
 _MAX_BESSEL_ARG = 1e4
 _MAX_HALF_ORDERS = 20000
+
+# Truncated Bessel rows kept for reuse, keyed by (xi, share), newest last.
+# Only a quadrupole fit opens one (its Jacobian columns each move one or two
+# phases and repeat the other rows); everywhere else the value is None.
+# Eight rows hold a fit iterate's four plus the newest evaluation's four.
+_ROW_MEMO: contextvars.ContextVar[OrderedDict | None] = contextvars.ContextVar(
+    "xkd_row_memo", default=None
+)
+_ROW_MEMO_ROWS = 8
 
 # exact unit values of i**n, indexed by n mod 4
 _I_POW = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
@@ -285,12 +296,19 @@ def _truncated_bessel(xi: float, share: float) -> np.ndarray:
 
     Returns the signed row (J_{-n} = (-1)^n J_n).  xi = 0 collapses to the
     exact single-entry row [1], which keeps convolutions with inactive
-    terms bit-transparent.
+    terms bit-transparent.  Inside an open row memo (see ``_ROW_MEMO``) a
+    row is computed once, stored read-only and returned again for the same
+    (xi, share): the very array the computation would give.
     """
     if xi == 0.0:
         return np.array([1.0])
     if not math.isfinite(xi) or abs(xi) > _MAX_BESSEL_ARG:
         raise PhaseRangeError(f"phase {xi!r} is beyond the {_MAX_BESSEL_ARG:g} rad range")
+    memo = _ROW_MEMO.get()
+    key = (xi, share)
+    if memo is not None and key in memo:
+        memo.move_to_end(key)
+        return memo[key]
     n = _rule_half_orders(xi)
     while True:
         row = _bessel_row(abs(xi), n)
@@ -314,6 +332,11 @@ def _truncated_bessel(xi: float, share: float) -> np.ndarray:
     else:
         full[n + 1 :] = alt * row[1:]
         full[:n] = row[1:][::-1]
+    if memo is not None:
+        full.setflags(write=False)
+        memo[key] = full
+        if len(memo) > _ROW_MEMO_ROWS:
+            memo.popitem(last=False)
     return full
 
 
@@ -441,7 +464,7 @@ def quadrupole_pattern(
     h = (len(conv) - 1) // 2  # = n0 + na2 + 2*na4 + 2*nc4
     # drop support padding whose amplitudes underflowed to exactly zero
     nonzero = np.nonzero(conv)[0]
-    h_keep = int(max(abs(nonzero - h))) if len(nonzero) else 0
+    h_keep = int(np.max(np.abs(nonzero - h))) if len(nonzero) else 0
     conv = conv[h - h_keep : h + h_keep + 1]
     half = np.arange(-h_keep, h_keep + 1)
     return DiffractionPattern(

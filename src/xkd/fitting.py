@@ -3,7 +3,11 @@
 The forward models are the analytic engines of :mod:`xkd.diffraction`;
 fitting is weighted least squares on the per-order intensities by damped
 Gauss-Newton with forward-difference derivatives (smooth, low-dimensional
-problem; an accepted step never increases the weighted residual).
+problem; an accepted step never increases the weighted residual).  A
+quadrupole Jacobian column moves one phase (thetaA2 moves its tied thetaA4
+too), so for the length of one fit the Bessel rows of the latest patterns
+are kept and reused instead of recomputed: the same arrays, so the same
+bits.  The reuse is local to the fit's context (a ``contextvars`` value).
 
 Identifiability caveats, all exact properties of the model and resolved by
 convention or documentation rather than by the data:
@@ -34,6 +38,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,7 +310,13 @@ def fit_quadrupole(observed: ObservedPattern, init: PhaseSet) -> FitResult:
         raise ValueError("need at least one +q/-q order pair to expose the asymmetry")
 
     p0 = np.array([init.theta0, init.thetaA2, init.thetaC4], dtype=float)
-    p, s, converged, iterations, jtj = _gauss_newton(_quad_model, p0, observed)
+    # each Jacobian column moves one parameter, so the other Bessel rows of
+    # its pattern are the iterate's: open a row memo for this fit only
+    token = diffraction._ROW_MEMO.set(OrderedDict())
+    try:
+        p, s, converged, iterations, jtj = _gauss_newton(_quad_model, p0, observed)
+    finally:
+        diffraction._ROW_MEMO.reset(token)
 
     theta0, theta_a2, theta_c4 = (float(v) for v in p)
     if theta0 < 0:

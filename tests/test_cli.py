@@ -364,7 +364,8 @@ BASES = {
     "plan_inline": ("plan", {**_shipped("plan_xray.json"), "atom": INLINE_ATOM}, []),
 }
 DROP = "<drop>"
-BAD_VALUES = [DROP, "x", [1], None, True, math.nan, -1, 0, 1e308, 1e-308, 10**400]
+MISSPELL = "<misspell>"  # the key loses its last letter; an absent one is added so spelt
+BAD_VALUES = [DROP, MISSPELL, "x", [1], None, True, math.nan, -1, 0, 1e308, 1e-308, 10**400]
 
 
 def _paths(doc, prefix=()):
@@ -400,22 +401,32 @@ KNOWN_BREAKS = [
     ("pattern_dipole", ("tau_s",), 1e300),
     ("plan_xray", ("wavelength_m",), -1),
     ("fit_dipole", ("laser", "intensity_W_m2"), 1e-300),
+    ("pattern_quadrupole", ("spot_radius_m",), MISSPELL),
+    ("pattern_dipole", ("tau_s",), MISSPELL),
+    ("fit_quadrupole", ("init", "thetaA2"), MISSPELL),
+    ("fit_dipole", ("laser", "spot_radius_m"), MISSPELL),
+    ("plan_inline", ("atom", "C_qq"), MISSPELL),
 ]
 
 
 def _run_mutated(base, path, value):
     """Run the command on ``base`` with the value at ``path`` replaced.
 
-    Returns the exit code, stderr and the keys on ``path``: an exit-1
-    message must name one of them (for a field of an inline atom, naming
-    'atom' is enough).
+    Returns the exit code, stderr and the keys on ``path``, the misspelt
+    name in place of the last one: an exit-1 message must name one of them
+    (for a field of an inline atom, naming 'atom' is enough).
     """
     command, doc, _ = BASES[base]
     doc = copy.deepcopy(doc)
     parent = doc
     for step in path[:-1]:
         parent = parent[step]
-    if value is DROP:
+    if value is MISSPELL:
+        if not isinstance(parent, list):
+            key = path[-1]
+            path = path[:-1] + (key[:-1],)
+            parent[key[:-1]] = parent.pop(key, 1.0)
+    elif value is DROP:
         if path[-1] in parent or isinstance(parent, list):
             del parent[path[-1]]
     else:
@@ -442,6 +453,8 @@ def test_mutated_config_keeps_the_exit_contract(case):
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert any(f"'{key}'" in err for key in keys), err
+    if case[2] is MISSPELL and isinstance(case[1][-1], str):
+        assert code == 1 and f"unknown key '{keys[-1]}'" in err, err
 
 
 @pytest.mark.parametrize("case", KNOWN_BREAKS)
@@ -469,6 +482,15 @@ def test_quadrupole_fit_start_beyond_the_engine_range_exits_one(tmp_path, capsys
     assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "'init'" in err and "numeric failure" not in err
+    assert not out.exists()
+
+
+def test_misspelt_optional_keys_exit_one_naming_them(tmp_path, capsys):
+    cfg = write_json(tmp_path / "typo.json", {"wavelength_m": 5e-10, "tau_s": 1e-12,
+                                              "U0_eV": -0.0013, "tau": 3, "spot_radius": 2e-6})
+    out = tmp_path / "p.csv"
+    assert cli.main(["pattern", "--config", cfg, "--out", str(out)]) == 1
+    assert "unknown key 'spot_radius', 'tau'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -275,6 +275,53 @@ class TestFitQuadrupole:
         assert result.thetaC4_hat == pytest.approx(-0.2, abs=1e-6)
 
 
+class TestRowMemo:
+    """The Bessel-row reuse that a quadrupole fit opens for itself."""
+
+    def test_closed_after_the_fit_returns_or_raises(self):
+        obs = observed_from_pattern(quadrupole_pattern(tied(0.8, 0.2, -0.05)))
+        fit_quadrupole(obs, tied(0.7, 0.25, -0.02))
+        assert diffraction._ROW_MEMO.get() is None
+        with pytest.raises(diffraction.PhaseRangeError):
+            fit_quadrupole(obs, tied(2e4))
+        assert diffraction._ROW_MEMO.get() is None
+
+    def test_holds_at_most_eight_rows_through_a_long_fit(self, monkeypatch):
+        sizes = []
+
+        def sizing(phases, *args):
+            pattern = quadrupole_pattern(phases, *args)
+            sizes.append(len(diffraction._ROW_MEMO.get()))
+            return pattern
+
+        monkeypatch.setattr(diffraction, "quadrupole_pattern", sizing)
+        obs = observed_from_pattern(quadrupole_pattern(tied(0.8, 0.2, -0.05)))
+        result = fit_quadrupole(obs, tied(2.5, 0.9, -0.9))
+        assert result.iterations >= 20
+        assert max(sizes) == diffraction._ROW_MEMO_ROWS == 8
+
+    def test_reused_rows_are_read_only(self, monkeypatch):
+        rows = []
+        truncated_bessel = diffraction._truncated_bessel
+
+        def keeping(xi, share):
+            rows.append(truncated_bessel(xi, share))
+            return rows[-1]
+
+        obs = observed_from_pattern(quadrupole_pattern(tied(0.8, 0.2, -0.05)))
+        monkeypatch.setattr(diffraction, "_truncated_bessel", keeping)
+        fit_quadrupole(obs, tied(0.7, 0.25, -0.02))
+        assert len({id(row) for row in rows}) < len(rows)  # some rows were reused
+        for row in rows:
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0.0
+
+    def test_patterns_outside_a_fit_store_no_row(self):
+        quadrupole_pattern(tied(1.5, 0.6, 0.3))
+        assert diffraction._ROW_MEMO.get() is None
+        assert diffraction._truncated_bessel(1.5, 1e-11).flags.writeable
+
+
 class TestEquivalentTriples:
     def test_contains_input_and_joint_flip(self):
         triples = equivalent_triples(0.8, 0.2, -0.05)
