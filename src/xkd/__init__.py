@@ -8,10 +8,8 @@ polarizability recovery from measured peak intensities), :mod:`xkd.cli`
 (the ``xkd`` command).
 
 Everything is a pure function of immutable inputs; there is no global
-mutable state anywhere, so concurrent use needs no coordination.  The one
-cache, the Bessel rows a quadrupole fit reuses across its Jacobian columns,
-lives in a ``contextvars`` value that the fit opens and closes itself, so
-it is local to that fit's thread or task and never outlives the fit.
+mutable state and no cache anywhere, so concurrent use needs no
+coordination.
 """
 
 from .potentials import (

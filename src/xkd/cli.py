@@ -26,6 +26,7 @@ from .potentials import (
     AtomSpecies,
     CatalogError,
     LaserGrating,
+    _known,
     _need,
     _parse_species,
     _read_object,
@@ -47,20 +48,6 @@ _PLAN_KEYS = frozenset({"atom", "catalog", "wavelength_m", "pulse_duration_s", "
 _FIT_KEYS = frozenset({"observations_csv", "model", "theta0_init", "init", "laser"})
 _INIT_KEYS = frozenset({"theta0", "thetaA2", "thetaC4"})
 _LASER_KEYS = frozenset({"wavelength_m", "intensity_W_m2", "tau_s", "spot_radius_m"})
-_ATOM_KEYS = frozenset({"name", "mass_kg", "alpha_m3", "ionization_energy_eV", "sigma_table",
-                        "A_dq", "C_qq"})
-
-
-def _known(doc: dict, where: str, keys: frozenset) -> dict:
-    """``doc``, once every key in it is one of ``keys``: a misspelt optional
-    key would otherwise fall back to its default without a word."""
-    unknown = sorted(set(doc) - keys)
-    if unknown:
-        names = ", ".join(f"'{key}'" for key in unknown)
-        raise CatalogError(
-            f"{where}: unknown key {names} (known: {', '.join(sorted(keys))})"
-        )
-    return doc
 
 
 @contextlib.contextmanager
@@ -79,8 +66,7 @@ def _blame(doc: dict, where: str, *keys: str):
 def _resolve_atom(doc: dict, where: str) -> AtomSpecies:
     selector = _need(doc, "atom", where, (str, dict))
     if isinstance(selector, dict):
-        inline = _known(selector, f"{where}: key 'atom'", _ATOM_KEYS)
-        return _parse_species({"name": "inline", **inline}, f"{where}: key 'atom'")
+        return _parse_species({"name": "inline", **selector}, f"{where}: key 'atom'")
     catalog_path = _need(doc, "catalog", where, str, default=None)
     try:
         catalog = bundled_catalog() if catalog_path is None else load_catalog(catalog_path)

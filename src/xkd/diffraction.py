@@ -39,9 +39,7 @@ touching the Bessel layer.
 
 from __future__ import annotations
 
-import contextvars
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,15 +63,6 @@ __all__ = [
 _MAX_BESSEL_ARG = 1e4
 _MAX_HALF_ORDERS = 20000
 
-# Truncated Bessel rows kept for reuse, keyed by (xi, share), newest last.
-# Only a quadrupole fit opens one (its Jacobian columns each move one or two
-# phases and repeat the other rows); everywhere else the value is None.
-# Eight rows hold a fit iterate's four plus the newest evaluation's four.
-_ROW_MEMO: contextvars.ContextVar[OrderedDict | None] = contextvars.ContextVar(
-    "xkd_row_memo", default=None
-)
-_ROW_MEMO_ROWS = 8
-
 # exact unit values of i**n, indexed by n mod 4
 _I_POW = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
@@ -93,8 +82,9 @@ class PhaseRangeError(TruncationError, ValueError):
 
 def _bessel_row_series(x: float, nmax: int) -> np.ndarray:
     """J_0..J_nmax by the ascending power series; x in [0, 2), any nmax."""
-    out = np.empty(nmax + 1)
+    out = []
     half = 0.5 * x
+    ratio = -(half * half)
     term0 = 1.0
     for n in range(nmax + 1):
         # term0 = (x/2)^n / n!, built multiplicatively so underflow is graceful
@@ -103,13 +93,13 @@ def _bessel_row_series(x: float, nmax: int) -> np.ndarray:
         k = 0
         while True:
             k += 1
-            term *= -(half * half) / (k * (n + k))
+            term *= ratio / (k * (n + k))
             s += term
             if abs(term) <= 1e-18 * abs(s) or term == 0.0:
                 break
-        out[n] = s
+        out.append(s)
         term0 *= half / (n + 1)
-    return out
+    return np.array(out)
 
 
 def _bessel_row_miller(x: float, nmax: int) -> np.ndarray:
@@ -296,19 +286,12 @@ def _truncated_bessel(xi: float, share: float) -> np.ndarray:
 
     Returns the signed row (J_{-n} = (-1)^n J_n).  xi = 0 collapses to the
     exact single-entry row [1], which keeps convolutions with inactive
-    terms bit-transparent.  Inside an open row memo (see ``_ROW_MEMO``) a
-    row is computed once, stored read-only and returned again for the same
-    (xi, share): the very array the computation would give.
+    terms bit-transparent.
     """
     if xi == 0.0:
         return np.array([1.0])
     if not math.isfinite(xi) or abs(xi) > _MAX_BESSEL_ARG:
         raise PhaseRangeError(f"phase {xi!r} is beyond the {_MAX_BESSEL_ARG:g} rad range")
-    memo = _ROW_MEMO.get()
-    key = (xi, share)
-    if memo is not None and key in memo:
-        memo.move_to_end(key)
-        return memo[key]
     n = _rule_half_orders(xi)
     while True:
         row = _bessel_row(abs(xi), n)
@@ -332,11 +315,6 @@ def _truncated_bessel(xi: float, share: float) -> np.ndarray:
     else:
         full[n + 1 :] = alt * row[1:]
         full[:n] = row[1:][::-1]
-    if memo is not None:
-        full.setflags(write=False)
-        memo[key] = full
-        if len(memo) > _ROW_MEMO_ROWS:
-            memo.popitem(last=False)
     return full
 
 

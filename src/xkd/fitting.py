@@ -2,12 +2,13 @@
 
 The forward models are the analytic engines of :mod:`xkd.diffraction`;
 fitting is weighted least squares on the per-order intensities by damped
-Gauss-Newton with forward-difference derivatives (smooth, low-dimensional
-problem; an accepted step never increases the weighted residual).  A
-quadrupole Jacobian column moves one phase (thetaA2 moves its tied thetaA4
-too), so for the length of one fit the Bessel rows of the latest patterns
-are kept and reused instead of recomputed: the same arrays, so the same
-bits.  The reuse is local to the fit's context (a ``contextvars`` value).
+Gauss-Newton (smooth, low-dimensional problem; an accepted step never
+increases the weighted residual).  The derivatives are exact and come from
+the pattern itself: differentiating the exit wave
+``exp(i[theta0 cos u + thetaA2 (sin u + sin 2u / 2) + thetaC4 cos 2u])``
+multiplies it by ``i cos u``, ``i (sin u + sin 2u / 2)`` or ``i cos 2u``,
+which only shifts amplitudes by one or two order pairs, so each trial
+evaluation returns its intensities and its Jacobian together.
 
 Identifiability caveats, all exact properties of the model and resolved by
 convention or documentation rather than by the data:
@@ -38,7 +39,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +58,6 @@ __all__ = [
     "polarizability_estimates",
 ]
 
-DERIVATIVE_STEP = 1e-7      # rad, forward differences
 MAX_ITERATIONS = 200
 MAX_STEP_NORM = 0.2         # rad, trust-radius cap; keeps the fit on the
                             # alias branch nearest the starting point
@@ -156,27 +155,53 @@ class FitResult:
     param_sigma: tuple[float, ...] = ()
 
 
-def _dipole_model(theta: float, orders: np.ndarray) -> np.ndarray:
-    return diffraction.dipole_pattern(theta).intensities_at(orders)
+# d amplitude(q) / d(theta0, thetaA2, thetaC4) from the amplitudes at
+# q + _SHIFTS: the exit wave's derivatives multiply it by i cos u,
+# i (sin u + sin 2u / 2) (thetaA4 = thetaA2/2 is tied) and i cos 2u
+_SHIFTS = np.array([-4, -2, 0, 2, 4])
+_SHIFT_COEFFS = np.array([
+    [0.0, 0.5j, 0.0, 0.5j, 0.0],
+    [0.25, 0.5, 0.0, -0.5, -0.25],
+    [0.5j, 0.0, 0.0, 0.0, 0.5j],
+])
 
 
-def _quad_model(params: np.ndarray, orders: np.ndarray) -> np.ndarray:
+def _with_jacobian(pattern: diffraction.DiffractionPattern, orders: np.ndarray, n_params: int):
+    """Intensities at ``orders`` and their derivatives by the first
+    ``n_params`` phases, d I / d p = 2 Re(conj(A) d A / d p)."""
+    shifted = pattern.amplitudes_at(orders[:, None] + _SHIFTS)
+    amps = shifted[:, 2]  # the unshifted column
+    d_amps = shifted @ _SHIFT_COEFFS[:n_params].T
+    return amps.real**2 + amps.imag**2, 2.0 * (amps.conj()[:, None] * d_amps).real
+
+
+def _dipole_model(theta: float, orders: np.ndarray):
+    """Intensities and their (n, 1) Jacobian by theta0 at ``orders``."""
+    return _with_jacobian(diffraction.dipole_pattern(theta), orders, 1)
+
+
+def _quad_model(params: np.ndarray, orders: np.ndarray):
+    """Intensities and their (n, 3) Jacobian by (theta0, thetaA2, thetaC4)."""
     theta0, theta_a2, theta_c4 = (float(v) for v in params)
     pattern = diffraction.quadrupole_pattern(PhaseSet(theta0, theta_a2, 0.5 * theta_a2, theta_c4))
-    return pattern.intensities_at(orders)
+    return _with_jacobian(pattern, orders, 3)
 
 
 def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
     """Damped Gauss-Newton core shared by both fits.
 
-    Returns (params, residual, converged, iterations, normal_matrix).
+    ``model(p, orders)`` returns the intensities and their Jacobian.
+    Returns (params, residual, converged, iterations, normal_matrix), the
+    normal matrix taken at the returned params.
     """
     orders = observed.orders
     y = observed.intensities
     sqrt_w = np.sqrt(observed.weights)
 
     def residuals(p):
-        return sqrt_w * (y - model(p, orders))
+        """Weighted residuals at p and their Jacobian."""
+        intensities, d_intensities = model(p, orders)
+        return sqrt_w * (y - intensities), -sqrt_w[:, None] * d_intensities
 
     def try_residuals(p):
         # a wild trial step (flat direction of a degenerate normal matrix)
@@ -187,17 +212,11 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
             return None
 
     p = np.array(p0, dtype=float)
-    r = residuals(p)
+    r, jac = residuals(p)
     s = float(r @ r)
     converged = False
     iterations = 0
-    jtj = np.eye(len(p))
     for iterations in range(1, MAX_ITERATIONS + 1):
-        jac = np.empty((len(r), len(p)))
-        for j in range(len(p)):
-            bumped = p.copy()
-            bumped[j] += DERIVATIVE_STEP
-            jac[:, j] = (residuals(bumped) - r) / DERIVATIVE_STEP
         jtj = jac.T @ jac
         rhs = -jac.T @ r
         try:
@@ -213,9 +232,9 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
         accepted = False
         for _ in range(60):
             candidate = p + step
-            r_new = try_residuals(candidate)
-            if r_new is not None:
-                s_new = float(r_new @ r_new)
+            trial = try_residuals(candidate)
+            if trial is not None:
+                s_new = float(trial[0] @ trial[0])
                 if s_new <= s:
                     accepted = True
                     break
@@ -223,7 +242,7 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
         if not accepted:
             converged = True  # no descent direction left at this scale
             break
-        p, r = candidate, r_new
+        p, (r, jac) = candidate, trial
         ds = s - s_new
         s = s_new
         if float(np.linalg.norm(step)) < STEP_TOLERANCE:
@@ -232,7 +251,7 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
         if ds <= RESIDUAL_TOLERANCE * max(s, 1e-300):
             converged = True
             break
-    return p, s, converged, iterations, jtj
+    return p, s, converged, iterations, jac.T @ jac
 
 
 def _sigmas(jtj: np.ndarray, residual: float, n_obs: int) -> tuple[float, ...]:
@@ -310,13 +329,7 @@ def fit_quadrupole(observed: ObservedPattern, init: PhaseSet) -> FitResult:
         raise ValueError("need at least one +q/-q order pair to expose the asymmetry")
 
     p0 = np.array([init.theta0, init.thetaA2, init.thetaC4], dtype=float)
-    # each Jacobian column moves one parameter, so the other Bessel rows of
-    # its pattern are the iterate's: open a row memo for this fit only
-    token = diffraction._ROW_MEMO.set(OrderedDict())
-    try:
-        p, s, converged, iterations, jtj = _gauss_newton(_quad_model, p0, observed)
-    finally:
-        diffraction._ROW_MEMO.reset(token)
+    p, s, converged, iterations, jtj = _gauss_newton(_quad_model, p0, observed)
 
     theta0, theta_a2, theta_c4 = (float(v) for v in p)
     if theta0 < 0:

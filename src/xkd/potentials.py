@@ -289,6 +289,18 @@ def _need(doc: dict, key: str, where: str, kind=float, default=_REQUIRED,
     raise CatalogError(f"{where}: key '{key}' {problem}, got {json.dumps(value)[:40]}")
 
 
+def _known(doc: dict, where: str, keys: frozenset) -> dict:
+    """``doc``, once every key in it is one of ``keys``: a misspelt optional
+    key would otherwise fall back to its default without a word."""
+    unknown = sorted(set(doc) - keys)
+    if unknown:
+        names = ", ".join(f"'{key}'" for key in unknown)
+        raise CatalogError(
+            f"{where}: unknown key {names} (known: {', '.join(sorted(keys))})"
+        )
+    return doc
+
+
 def _read_object(path: str | os.PathLike) -> dict:
     """The JSON object in the file at ``path`` (a config or a catalog)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -301,9 +313,15 @@ def _read_object(path: str | os.PathLike) -> dict:
     return doc
 
 
+_CATALOG_KEYS = frozenset({"notes", "species"})
+_SPECIES_KEYS = frozenset({"name", "mass_kg", "alpha_m3", "ionization_energy_eV", "sigma_table",
+                           "A_dq", "C_qq"})
+
+
 def _parse_species(entry: dict, where: str) -> AtomSpecies:
     if not isinstance(entry, dict):
         raise CatalogError(f"{where}: species entry must be an object")
+    _known(entry, where, _SPECIES_KEYS)
     name = _need(entry, "name", where, str)
     where = f"{where} ('{name}')"
     mass, alpha = (_need(entry, k, where, positive=True) for k in ("mass_kg", "alpha_m3"))
@@ -327,11 +345,13 @@ def load_catalog(path: str | os.PathLike) -> dict[str, AtomSpecies]:
 
     Schema: a top-level object with a "species" array; each entry carries
     name, mass_kg, alpha_m3, ionization_energy_eV, a sigma_table array of
-    [energy_eV, sigma_m2] pairs, and optional A_dq / C_qq multipliers.
-    Raises CatalogError naming the offending key on any malformed entry.
+    [energy_eV, sigma_m2] pairs, and optional A_dq / C_qq multipliers; an
+    optional top-level "notes" is the only other key allowed.  Raises
+    CatalogError naming the offending key on any malformed or unknown one.
     """
     catalog: dict[str, AtomSpecies] = {}
-    for i, entry in enumerate(_need(_read_object(path), "species", str(path), list)):
+    doc = _known(_read_object(path), str(path), _CATALOG_KEYS)
+    for i, entry in enumerate(_need(doc, "species", str(path), list)):
         species = _parse_species(entry, f"species entry {i}")
         if species.name in catalog:
             raise CatalogError(f"species entry {i}: duplicate name '{species.name}'")

@@ -494,6 +494,22 @@ def test_misspelt_optional_keys_exit_one_naming_them(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_misspelt_catalog_key_exits_one_naming_it(tmp_path, capsys):
+    bundled = json.loads((CONFIGS.parent / "src/xkd/data/atoms.json").read_text())
+    cfg = write_json(tmp_path / "pattern.json",
+                     {**_shipped("pattern_quadrupole.json"), "catalog": str(tmp_path / "cat.json")})
+    out = tmp_path / "p.csv"
+    write_json(tmp_path / "cat.json", bundled)
+    assert cli.main(["pattern", "--config", cfg, "--out", str(out)]) == 0
+    demo = next(entry for entry in bundled["species"] if entry["name"] == "demo")
+    demo["A_qd"] = demo.pop("A_dq")
+    write_json(tmp_path / "cat.json", bundled)
+    out.unlink()
+    assert cli.main(["pattern", "--config", cfg, "--out", str(out)]) == 1
+    assert "unknown key 'A_qd'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tolerance_out_of_reach_exits_three(tmp_path, capsys):
     out = tmp_path / "p.csv"
     argv = ["pattern", "--config", str(CONFIGS / "pattern_quadrupole.json"),

@@ -20,7 +20,7 @@ from xkd.potentials import (
     lightshift_depth,
     quadrupole_scales,
 )
-from xkd import diffraction
+from xkd import diffraction, fitting
 
 
 def observed_from_pattern(pattern, weights=None):
@@ -275,51 +275,128 @@ class TestFitQuadrupole:
         assert result.thetaC4_hat == pytest.approx(-0.2, abs=1e-6)
 
 
-class TestRowMemo:
-    """The Bessel-row reuse that a quadrupole fit opens for itself."""
+def _central_differences(model, p, orders, h=1e-6):
+    """Jacobian of ``model``'s intensities by central differences of step h."""
+    columns = []
+    for j in range(len(p)):
+        bump = np.zeros(len(p))
+        bump[j] = h
+        columns.append((model(p + bump, orders)[0] - model(p - bump, orders)[0]) / (2.0 * h))
+    return np.column_stack(columns)
 
-    def test_closed_after_the_fit_returns_or_raises(self):
-        obs = observed_from_pattern(quadrupole_pattern(tied(0.8, 0.2, -0.05)))
-        fit_quadrupole(obs, tied(0.7, 0.25, -0.02))
-        assert diffraction._ROW_MEMO.get() is None
-        with pytest.raises(diffraction.PhaseRangeError):
-            fit_quadrupole(obs, tied(2e4))
-        assert diffraction._ROW_MEMO.get() is None
 
-    def test_holds_at_most_eight_rows_through_a_long_fit(self, monkeypatch):
-        sizes = []
+def _dipole(p, orders):
+    return fitting._dipole_model(float(p[0]), orders)
 
-        def sizing(phases, *args):
-            pattern = quadrupole_pattern(phases, *args)
-            sizes.append(len(diffraction._ROW_MEMO.get()))
-            return pattern
 
-        monkeypatch.setattr(diffraction, "quadrupole_pattern", sizing)
-        obs = observed_from_pattern(quadrupole_pattern(tied(0.8, 0.2, -0.05)))
-        result = fit_quadrupole(obs, tied(2.5, 0.9, -0.9))
-        assert result.iterations >= 20
-        assert max(sizes) == diffraction._ROW_MEMO_ROWS == 8
+class TestExactJacobian:
+    """The models' derivatives are read off the amplitudes at q +- 2, q +- 4."""
 
-    def test_reused_rows_are_read_only(self, monkeypatch):
-        rows = []
-        truncated_bessel = diffraction._truncated_bessel
+    def test_quadrupole_model_matches_central_differences(self):
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            p = np.array([rng.uniform(0.2, 3.0), *rng.uniform(-1.0, 1.0, 2)])
+            pattern = quadrupole_pattern(tied(*p))
+            orders = pattern.orders[pattern.intensities > 1e-12]
+            intensities, jac = fitting._quad_model(p, orders)
+            assert np.array_equal(intensities, pattern.intensities_at(orders))
+            numeric = _central_differences(fitting._quad_model, p, orders)
+            assert np.max(np.abs(jac - numeric)) <= 1e-7 * np.max(np.abs(numeric))
 
-        def keeping(xi, share):
-            rows.append(truncated_bessel(xi, share))
-            return rows[-1]
+    def test_dipole_model_matches_central_differences(self):
+        rng = np.random.default_rng(14)
+        orders = np.arange(-30, 32, 2)
+        for theta in rng.uniform(0.1, 8.0, 40):
+            intensities, jac = fitting._dipole_model(float(theta), orders)
+            assert jac.shape == (len(orders), 1)
+            assert np.array_equal(intensities, dipole_pattern(theta).intensities_at(orders))
+            numeric = _central_differences(_dipole, np.array([theta]), orders)
+            assert np.max(np.abs(jac - numeric)) <= 1e-7 * np.max(np.abs(numeric))
 
-        obs = observed_from_pattern(quadrupole_pattern(tied(0.8, 0.2, -0.05)))
-        monkeypatch.setattr(diffraction, "_truncated_bessel", keeping)
-        fit_quadrupole(obs, tied(0.7, 0.25, -0.02))
-        assert len({id(row) for row in rows}) < len(rows)  # some rows were reused
-        for row in rows:
-            with pytest.raises(ValueError, match="read-only"):
-                row[0] = 0.0
 
-    def test_patterns_outside_a_fit_store_no_row(self):
-        quadrupole_pattern(tied(1.5, 0.6, 0.3))
-        assert diffraction._ROW_MEMO.get() is None
-        assert diffraction._truncated_bessel(1.5, 1e-11).flags.writeable
+def _recorded_calls(monkeypatch, name):
+    """Every (params, intensities) the fitting model ``name`` returns."""
+    calls = []
+    model = getattr(fitting, name)
+
+    def recording(params, orders):
+        out = model(params, orders)
+        calls.append((np.array(params, dtype=float, ndmin=1), out[0]))
+        return out
+
+    monkeypatch.setattr(fitting, name, recording)
+    return calls
+
+
+def _trials(calls, observed):
+    """Replay a fit's model calls as Gauss-Newton trials from the first.
+
+    A call that does not raise the weighted residual is an accepted step;
+    any other must be followed by the same step halved.  Returns the
+    accepted and rejected counts.
+    """
+    sqrt_w = np.sqrt(observed.weights)
+
+    def weighted(intensities):
+        r = sqrt_w * (observed.intensities - intensities)
+        return float(r @ r)
+
+    point, best = calls[0][0], weighted(calls[0][1])
+    accepted = rejected = 0
+    last_step = None
+    for params, intensities in calls[1:]:
+        step = params - point
+        if last_step is not None:
+            np.testing.assert_allclose(step, 0.5 * last_step, rtol=1e-6, atol=1e-14)
+        s = weighted(intensities)
+        if s <= best:
+            accepted += 1
+            point, best, last_step = params, s, None
+        else:
+            rejected += 1
+            last_step = step
+    return accepted, rejected
+
+
+class TestModelCalls:
+    """A fit evaluates its model at the start and at each trial step, never
+    for a Jacobian column."""
+
+    @pytest.mark.parametrize("truth, init", [(1.0, 0.5), (2.3, 1.4), (0.4, 2.1)])
+    def test_dipole_fit(self, monkeypatch, truth, init):
+        calls = _recorded_calls(monkeypatch, "_dipole_model")
+        obs = observed_from_pattern(dipole_pattern(truth))
+        result = fit_dipole(obs, theta0_init=init)
+        accepted, rejected = _trials(calls, obs)
+        assert len(calls) == 1 + accepted + rejected
+        assert result.iterations - accepted in (0, 1)
+
+    @pytest.mark.parametrize("truth, init, halved", [
+        ((0.8, 0.2, -0.05), (0.7, 0.25, -0.02), False),
+        ((0.8, 0.2, -0.05), (2.5, 0.9, -0.9), True),
+        ((0.9, 0.3, -0.2), (-0.88, 0.32, 0.19), False),
+    ])
+    def test_quadrupole_fit(self, monkeypatch, truth, init, halved):
+        calls = _recorded_calls(monkeypatch, "_quad_model")
+        obs = observed_from_pattern(quadrupole_pattern(tied(*truth)))
+        result = fit_quadrupole(obs, tied(*init))
+        accepted, rejected = _trials(calls, obs)
+        assert len(calls) == 1 + accepted + rejected
+        assert result.iterations - accepted in (0, 1)
+        assert (rejected > 0) == halved
+
+
+def test_fit_with_its_optimum_at_the_phase_range_edge_returns_the_edge(monkeypatch):
+    # every evaluation brings its own derivatives, so no Jacobian column
+    # steps past the range and only trial steps can leave it
+    pattern = quadrupole_pattern(tied(2.0056, 0.3, -0.2))
+    keep = pattern.intensities > 1e-5
+    obs = ObservedPattern.from_arrays(pattern.orders[keep], pattern.intensities[keep])
+    monkeypatch.setattr(diffraction, "_MAX_BESSEL_ARG", 2.0055)
+    result = fit_quadrupole(obs, tied(1.95, 0.31, -0.19))
+    assert result.converged
+    assert result.theta0_hat <= 2.0055
+    assert result.theta0_hat == pytest.approx(2.0055, abs=1e-6)
 
 
 class TestEquivalentTriples:

@@ -302,6 +302,22 @@ class TestCatalog:
         with pytest.raises(CatalogError, match=f"key '{key}'"):
             load_catalog(path)
 
+    def test_unknown_keys_named(self, tmp_path):
+        entry = {
+            "name": "X",
+            "mass_kg": 1e-26,
+            "alpha_m3": 1e-29,
+            "ionization_energy_eV": 5.0,
+            "sigma_table": [[100.0, 5e-22]],
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"species": [{**entry, "C_qd": 1.0}]}))
+        with pytest.raises(CatalogError, match="species entry 0: unknown key 'C_qd'"):
+            load_catalog(path)
+        path.write_text(json.dumps({"notes": "", "species": [entry], "note": ""}))
+        with pytest.raises(CatalogError, match="unknown key 'note'"):
+            load_catalog(path)
+
     def test_duplicate_species(self, tmp_path):
         entry = {
             "name": "X",
