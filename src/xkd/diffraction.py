@@ -22,14 +22,16 @@ the 2k_L and 4k_L harmonics).
 
 Conventions:
 
-* Orders q are multiples of k_L *relative to the incident wavevector k0*;
-  k0 itself is carried only as pattern metadata.
+* Orders q are multiples of k_L *relative to the incident wavevector*, so
+  the pattern document's ``k0`` entry is always 0.
 * The overall phase ``exp(i (U0/2 + UC/8) tau / hbar)`` is reported in
   ``global_phase`` and never multiplied into the amplitudes, which keeps
   analytic patterns directly comparable with the Fourier oracle.
 * Truncation starts from N = ceil(|xi| + 8 |xi|^(1/3) + 12) per Bessel row
   (J_n dies super-exponentially past n ~ xi) and is then widened until the
-  discarded probability is below the requested tolerance.
+  discarded probability is below the row's share of the requested
+  tolerance (all of it for the dipole row, an eighth for each quadrupole
+  row); a pattern that still misses the tolerance raises TruncationError.
 
 :func:`phase_grating_oracle` is an independent check on all of the above:
 it samples the exit wave on a grid over one full spatial period 2 pi / k_L
@@ -128,10 +130,6 @@ def _bessel_row_miller(x: float, nmax: int) -> np.ndarray:
 
 def _bessel_row(x: float, nmax: int) -> np.ndarray:
     """J_n(x) for n = 0..nmax at non-negative x."""
-    if x == 0.0:
-        row = np.zeros(nmax + 1)
-        row[0] = 1.0
-        return row
     if x < 2.0:
         return _bessel_row_series(x, nmax)
     return _bessel_row_miller(x, nmax)
@@ -218,7 +216,7 @@ class DiffractionPattern:
     """Per-order complex amplitudes and intensities of the exit wave.
 
     ``orders`` holds even momentum orders q (units of k_L, relative to the
-    incident k0); ``intensities`` is elementwise |amplitude|^2.  The kept
+    incident beam); ``intensities`` is elementwise |amplitude|^2.  The kept
     probability is 1 - truncation_residual.  ``odd_leakage`` is filled by
     the Fourier oracle with the largest amplitude it saw on any odd order
     (an internal-consistency diagnostic; analytic engines report 0).
@@ -229,7 +227,6 @@ class DiffractionPattern:
     truncation_order: int
     truncation_residual: float
     global_phase: float = 0.0
-    k0: float = 0.0               # incident wavevector metadata, 1/m
     odd_leakage: float = 0.0
     intensities: np.ndarray = field(init=False)
 
@@ -323,13 +320,10 @@ def _i_powers(half_orders: np.ndarray) -> np.ndarray:
     return _I_POW[np.mod(half_orders, 4)]
 
 
-def _dilate(row: np.ndarray, step: int) -> np.ndarray:
-    """Spread a symmetric coefficient row onto a lattice of the given step."""
-    if step == 1 or len(row) == 1:
-        return row
-    n = (len(row) - 1) // 2
-    out = np.zeros(2 * n * step + 1, dtype=row.dtype)
-    out[::step] = row
+def _dilate(row: np.ndarray) -> np.ndarray:
+    """Spread a symmetric coefficient row onto every other lattice site."""
+    out = np.zeros(2 * len(row) - 1, dtype=row.dtype)
+    out[::2] = row
     return out
 
 
@@ -369,11 +363,7 @@ def _convolve_rows(rows) -> np.ndarray:
     return np.fft.ifft(spectrum)[:span]
 
 
-def dipole_pattern(
-    theta0: float,
-    tolerance: float = 1e-10,
-    k0: float = 0.0,
-) -> DiffractionPattern:
+def dipole_pattern(theta0: float, tolerance: float = 1e-10) -> DiffractionPattern:
     """Diffraction orders of the pure cos^2 grating.
 
     Order q = 2n carries amplitude i^n J_n(theta0), intensity J_n(theta0)^2;
@@ -392,13 +382,10 @@ def dipole_pattern(
         truncation_order=2 * n,
         truncation_residual=residual,
         global_phase=float(theta0),
-        k0=k0,
     )
 
 
-def quadrupole_pattern(
-    phases: PhaseSet, tolerance: float = 1e-10, k0: float = 0.0
-) -> DiffractionPattern:
+def quadrupole_pattern(phases: PhaseSet, tolerance: float = 1e-10) -> DiffractionPattern:
     """Diffraction orders with the induced-quadrupole harmonics included.
 
     The exit wave is the product of four Jacobi-Anger combs (harmonics at
@@ -407,7 +394,9 @@ def quadrupole_pattern(
     of half-orders so the 4k_L rows land on even lattice sites.  With all
     quadrupole phases zero the result reproduces :func:`dipole_pattern`
     exactly, convolution against the single-entry identity row being
-    transparent.
+    transparent.  Each row keeps its discarded probability below
+    ``tolerance / 8``; if the convolved pattern still discards ``tolerance``
+    or more, TruncationError is raised.
 
     Long rows (phases from a few tens of radians up) are combined in one FFT
     product instead, chosen from the row lengths alone by
@@ -418,31 +407,25 @@ def quadrupole_pattern(
     """
     _check_tolerance(tolerance)
     share = tolerance / 8.0
-    for _ in range(4):
-        rows = [
-            _truncated_bessel(float(phases.theta0), share),
-            _truncated_bessel(float(phases.thetaA2), share),
-            _truncated_bessel(float(phases.thetaA4), share),
-            _truncated_bessel(float(phases.thetaC4), share),
-        ]
-        n0, na2, na4, nc4 = ((len(r) - 1) // 2 for r in rows)
-        a = _i_powers(np.arange(-n0, n0 + 1)) * rows[0]
-        b = rows[1]
-        c = _dilate(rows[2], 2)
-        d = _dilate(_i_powers(np.arange(-nc4, nc4 + 1)) * rows[3], 2)
-        conv = _convolve_rows((a, b, c, d))
-        residual = 1.0 - float(np.sum(conv.real**2 + conv.imag**2))
-        if residual < tolerance:
-            break
-        share /= 100.0
-    else:
-        raise TruncationError(
-            f"cannot reach tolerance {tolerance:g} for phases {phases}"
-        )
-    h = (len(conv) - 1) // 2  # = n0 + na2 + 2*na4 + 2*nc4
-    # drop support padding whose amplitudes underflowed to exactly zero
+    t0, a2, a4, c4 = (
+        _truncated_bessel(float(xi), share)
+        for xi in (phases.theta0, phases.thetaA2, phases.thetaA4, phases.thetaC4)
+    )
+    n0, nc4 = (len(t0) - 1) // 2, (len(c4) - 1) // 2
+    conv = _convolve_rows((
+        _i_powers(np.arange(-n0, n0 + 1)) * t0,
+        a2,
+        _dilate(a4),
+        _dilate(_i_powers(np.arange(-nc4, nc4 + 1)) * c4),
+    ))
+    residual = 1.0 - float(np.sum(conv.real**2 + conv.imag**2))
+    if not residual < tolerance:
+        raise TruncationError(f"cannot reach tolerance {tolerance:g} for phases {phases}")
+    h = (len(conv) - 1) // 2
+    # drop support padding whose amplitudes underflowed to exactly zero;
+    # residual < tolerance leaves at least one nonzero amplitude
     nonzero = np.nonzero(conv)[0]
-    h_keep = int(np.max(np.abs(nonzero - h))) if len(nonzero) else 0
+    h_keep = int(np.max(np.abs(nonzero - h)))
     conv = conv[h - h_keep : h + h_keep + 1]
     half = np.arange(-h_keep, h_keep + 1)
     return DiffractionPattern(
@@ -451,7 +434,6 @@ def quadrupole_pattern(
         truncation_order=2 * h_keep,
         truncation_residual=residual,
         global_phase=float(phases.global_phase),
-        k0=k0,
     )
 
 
@@ -460,7 +442,6 @@ def phase_grating_oracle(
     tau: float,
     grid_points: int = 16384,
     tolerance: float = 1e-10,
-    k0: float = 0.0,
 ) -> DiffractionPattern:
     """Order amplitudes by direct Fourier analysis of exp(i U(X) tau / hbar).
 
@@ -514,7 +495,6 @@ def phase_grating_oracle(
         truncation_order=2 * h,
         truncation_residual=1.0 - float(kept),
         global_phase=float(gp),
-        k0=k0,
         odd_leakage=odd_leakage,
     )
 
@@ -539,7 +519,7 @@ def pattern_to_dict(pattern: DiffractionPattern) -> dict:
         "truncation_order": int(pattern.truncation_order),
         "truncation_residual": float(pattern.truncation_residual),
         "global_phase": float(pattern.global_phase),
-        "k0": float(pattern.k0),
+        "k0": 0.0,  # orders are relative to the incident beam
         "odd_leakage": float(pattern.odd_leakage),
     }
 

@@ -19,7 +19,7 @@ which passes at its stated benchmark count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .constants import C, EV, HBAR, NONLINEAR_INTENSITY
 from .potentials import AtomSpecies, LaserGrating, lightshift_depth
@@ -63,13 +63,7 @@ class FeasibilityFlags:
     below_nonlinear_threshold: bool
 
     def all_pass(self) -> bool:
-        return (
-            self.diffraction_regime
-            and self.visibility
-            and self.semiclassical
-            and self.low_ionization
-            and self.below_nonlinear_threshold
-        )
+        return all(astuple(self))
 
 
 @dataclass(frozen=True)

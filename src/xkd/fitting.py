@@ -65,6 +65,7 @@ STEP_TOLERANCE = 1e-10      # rad
 RESIDUAL_TOLERANCE = 1e-12  # relative change
 DEGENERACY_CONDITION = 1e10
 TOTAL_EXCESS = 1e-6         # observed totals above 1 + this are noted in fits
+MATCH_TOLERANCE = 1e-11     # per-order intensity match of equivalent triples
 
 
 @dataclass(frozen=True)
@@ -175,9 +176,9 @@ def _with_jacobian(pattern: diffraction.DiffractionPattern, orders: np.ndarray, 
     return amps.real**2 + amps.imag**2, 2.0 * (amps.conj()[:, None] * d_amps).real
 
 
-def _dipole_model(theta: float, orders: np.ndarray):
+def _dipole_model(params: np.ndarray, orders: np.ndarray):
     """Intensities and their (n, 1) Jacobian by theta0 at ``orders``."""
-    return _with_jacobian(diffraction.dipole_pattern(theta), orders, 1)
+    return _with_jacobian(diffraction.dipole_pattern(float(params[0])), orders, 1)
 
 
 def _quad_model(params: np.ndarray, orders: np.ndarray):
@@ -287,12 +288,8 @@ def fit_dipole(observed: ObservedPattern, theta0_init: float = 0.5) -> FitResult
     """
     if len(observed.rows) < 2:
         raise ValueError("need at least 2 distinct orders to fit theta0")
-
-    def model(p, orders):
-        return _dipole_model(float(p[0]), orders)
-
     p, s, converged, iterations, jtj = _gauss_newton(
-        model, np.array([float(theta0_init)]), observed
+        _dipole_model, np.array([float(theta0_init)]), observed
     )
     theta0 = abs(float(p[0]))
     sigmas = _sigmas(jtj, s, len(observed.rows))
@@ -365,7 +362,7 @@ def fit_quadrupole(observed: ObservedPattern, init: PhaseSet) -> FitResult:
 
 
 def equivalent_triples(
-    theta0: float, thetaA2: float, thetaC4: float, match_tol: float = 1e-12
+    theta0: float, thetaA2: float, thetaC4: float
 ) -> list[tuple[float, float, float]]:
     """All tied phase triples producing exactly the given intensity pattern.
 
@@ -387,7 +384,7 @@ def equivalent_triples(
     sign change of g is finished by bisecting that cell, so no member hangs on
     the last bits of the quartic's roots.  A candidate ``(R2 cos phi,
     R2 sin phi, R4 cos(delta + 2 phi))`` is kept when it lies 1e-9 or more from
-    every earlier one and its pattern matches within ``match_tol`` per order.
+    every earlier one and its pattern matches within ``MATCH_TOLERANCE`` per order.
     The input triple always comes first.
     """
     def pattern_of(t: tuple[float, float, float]) -> diffraction.DiffractionPattern:
@@ -403,7 +400,7 @@ def equivalent_triples(
             return
         pattern = pattern_of(candidate)
         qs = np.union1d(base.orders, pattern.orders)
-        if np.max(np.abs(base.intensities_at(qs) - pattern.intensities_at(qs))) <= match_tol:
+        if np.max(np.abs(base.intensities_at(qs) - pattern.intensities_at(qs))) <= MATCH_TOLERANCE:
             found.append(candidate)
 
     consider((theta0, thetaA2, thetaC4))

@@ -134,7 +134,7 @@ def run_checks(
             fit_dev,
             min(
                 max(abs(h - t) for h, t in zip(hat, cand))
-                for cand in equivalent_triples(*truth, match_tol=1e-11)
+                for cand in equivalent_triples(*truth)
             ),
         )
 

@@ -196,7 +196,7 @@ def test_criterion_7_fit_round_trip():
         # recovery judged up to the documented exact equivalences of the model
         dev = min(
             max(abs(h - t) for h, t in zip(hat, cand))
-            for cand in fitting.equivalent_triples(*truth, match_tol=1e-11)
+            for cand in fitting.equivalent_triples(*truth)
         )
         worst = max(worst, dev)
         assert dev <= 1e-6, (truth, hat)

@@ -1,5 +1,7 @@
 """Bessel layer against the extended-precision power-series oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,11 @@ def test_accuracy_grid_against_series_oracle(x):
 def test_spot_values():
     assert bessel_J(0, 0.0) == 1.0
     assert bessel_J(3, 0.0) == 0.0
+    # a zero argument gives the exact unit row, +0.0 beyond J_0, at either sign
+    unit_row = np.eye(1, 201).ravel().tobytes()
+    assert _bessel_row(0.0, 200).tobytes() == unit_row
+    assert _bessel_row(-0.0, 200).tobytes() == unit_row
+    assert math.copysign(1.0, bessel_J(-3, 0.0)) == -1.0
     # frozen from the 50-digit series oracle
     assert bessel_J(1, 1.0) == pytest.approx(0.44005058574493351596, rel=1e-14)
     assert bessel_J(5, 10.0) == pytest.approx(-0.23406152818679364044, rel=1e-13)

@@ -285,10 +285,6 @@ def _central_differences(model, p, orders, h=1e-6):
     return np.column_stack(columns)
 
 
-def _dipole(p, orders):
-    return fitting._dipole_model(float(p[0]), orders)
-
-
 class TestExactJacobian:
     """The models' derivatives are read off the amplitudes at q +- 2, q +- 4."""
 
@@ -307,10 +303,10 @@ class TestExactJacobian:
         rng = np.random.default_rng(14)
         orders = np.arange(-30, 32, 2)
         for theta in rng.uniform(0.1, 8.0, 40):
-            intensities, jac = fitting._dipole_model(float(theta), orders)
+            intensities, jac = fitting._dipole_model(np.array([theta]), orders)
             assert jac.shape == (len(orders), 1)
             assert np.array_equal(intensities, dipole_pattern(theta).intensities_at(orders))
-            numeric = _central_differences(_dipole, np.array([theta]), orders)
+            numeric = _central_differences(fitting._dipole_model, np.array([theta]), orders)
             assert np.max(np.abs(jac - numeric)) <= 1e-7 * np.max(np.abs(numeric))
 
 

@@ -1,7 +1,10 @@
 """Byte-for-byte checks of shipped outputs against captured reference files.
 
 ``tests/data`` holds the report of ``xkd verify --seed 7``, the JSON of
-``xkd fit --config configs/fit_dipole.json``, and ``quadrupole_fits.json``:
+``xkd fit --config configs/fit_dipole.json``, what ``xkd pattern`` writes
+for both shipped pattern configs (CSV, ``--plot`` SVG, JSON, and stdout with
+the out path replaced by ``OUT``), what ``xkd plan`` writes for
+``configs/plan_xray.json`` (JSON and stdout), and ``quadrupole_fits.json``:
 the ``repr`` of every ``FitResult`` field of seven quadrupole fits (the three
 inside ``run_checks(7)``, three noisy sets of the benchmark's ``fit``
 generator at seed 801, and one fit whose trial steps leave a narrowed phase
@@ -38,6 +41,31 @@ def test_shipped_dipole_fit_is_byte_identical(tmp_path, monkeypatch):
     out = tmp_path / "fit.json"
     assert cli.main(["fit", "--config", "configs/fit_dipole.json", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "fit_dipole.json").read_bytes()
+
+
+def _stdout(capsys, out) -> str:
+    """What the last command printed, with its out path replaced by OUT."""
+    return capsys.readouterr().out.replace(str(out), "OUT")
+
+
+@pytest.mark.parametrize("name", ["pattern_dipole", "pattern_quadrupole"])
+def test_shipped_pattern_documents_are_byte_identical(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    expected = (DATA / f"{name}.stdout").read_text()
+    for out, extra in ((tmp_path / f"{name}.csv", ["--plot"]), (tmp_path / f"{name}.json", [])):
+        argv = ["pattern", "--config", f"configs/{name}.json", "--out", str(out), *extra]
+        assert cli.main(argv) == 0
+        assert _stdout(capsys, out) == expected
+    for ext in ("csv", "svg", "json"):
+        assert (tmp_path / f"{name}.{ext}").read_bytes() == (DATA / f"{name}.{ext}").read_bytes()
+
+
+def test_shipped_plan_is_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "plan_xray.json"
+    assert cli.main(["plan", "--config", "configs/plan_xray.json", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "plan_xray.json").read_bytes()
+    assert _stdout(capsys, out) == (DATA / "plan_xray.stdout").read_text()
 
 
 def _fields(result: fitting.FitResult) -> dict:
