@@ -80,7 +80,7 @@ def _resolve_atom(doc: dict, where: str) -> AtomSpecies:
     return catalog[selector]
 
 
-def _pattern(doc: dict, where: str, tolerance: float) -> diffraction.DiffractionPattern:
+def _pattern(doc: dict, where: str) -> diffraction.DiffractionPattern:
     tau, wavelength = (_need(doc, key, where, positive=True) for key in ("tau_s", "wavelength_m"))
     direct = "U0_eV" in doc
     if direct == ("atom" in doc):
@@ -102,7 +102,7 @@ def _pattern(doc: dict, where: str, tolerance: float) -> diffraction.Diffraction
             depths = [lightshift_depth(atom, laser), *quadrupole_scales(atom, laser)]
         model = build_potential(*depths, 2.0 * math.pi / wavelength)
         phases = diffraction.phases_from_potential(model, tau)
-        return diffraction.quadrupole_pattern(phases, tolerance)  # PhaseRangeError is a ValueError
+        return diffraction.quadrupole_pattern(phases)  # PhaseRangeError is a ValueError
 
 
 def _pattern_svg(pattern: diffraction.DiffractionPattern) -> str:
@@ -150,7 +150,7 @@ def _write(path: str, text: str):
 
 def cmd_pattern(args: argparse.Namespace) -> int:
     doc = _known(_read_object(args.config), args.config, _PATTERN_KEYS)
-    pattern = _pattern(doc, args.config, args.tolerance)
+    pattern = _pattern(doc, args.config)
     if args.out.endswith(".json"):
         _write(
             args.out,
@@ -164,7 +164,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     print(
         f"pattern: {len(pattern.orders)} orders up to |q| = "
         f"{pattern.truncation_order}, truncation residual "
-        f"{pattern.truncation_residual:.3e} (tolerance {args.tolerance:.0e})"
+        f"{pattern.truncation_residual:.3e}"
     )
     print(f"wrote {args.out}")
     return 0
@@ -283,7 +283,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    checks = verify_mod.run_checks(seed=args.seed, tolerance=args.tolerance)
+    checks = verify_mod.run_checks(seed=args.seed)
     text = verify_mod.format_report(checks, args.seed)
     sys.stdout.write(text)
     if args.out:
@@ -313,7 +313,6 @@ def _build_parser() -> _Parser:
     )
     p_pattern.add_argument("--config", required=True, help="scenario JSON")
     p_pattern.add_argument("--out", required=True, help="output CSV (or .json)")
-    p_pattern.add_argument("--tolerance", type=float, default=1e-10)
     p_pattern.add_argument("--plot", action="store_true", help="also write an SVG chart")
 
     p_plan = sub.add_parser("plan", help="evaluate the feasibility envelope")
@@ -327,7 +326,6 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run the seeded self-check suite")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", default=None, help="report text file")
-    p_verify.add_argument("--tolerance", type=float, default=1e-10)
 
     return parser
 
@@ -338,9 +336,6 @@ def main(argv=None) -> int:
     config = getattr(args, "config", None)
     if config is not None and not os.path.exists(config):
         print(f"xkd: no such config file: {config}", file=sys.stderr)
-        return 1
-    if not 0.0 < getattr(args, "tolerance", 1e-10) <= 1e-3:
-        print("xkd: --tolerance must be in (0, 1e-3]", file=sys.stderr)
         return 1
     handler = {
         "pattern": cmd_pattern,

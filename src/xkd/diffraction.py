@@ -27,11 +27,11 @@ Conventions:
 * The overall phase ``exp(i (U0/2 + UC/8) tau / hbar)`` is reported in
   ``global_phase`` and never multiplied into the amplitudes, which keeps
   analytic patterns directly comparable with the Fourier oracle.
-* Truncation starts from N = ceil(|xi| + 8 |xi|^(1/3) + 12) per Bessel row
-  (J_n dies super-exponentially past n ~ xi) and is then widened until the
-  discarded probability is below the row's share of the requested
-  tolerance (all of it for the dipole row, an eighth for each quadrupole
-  row); a pattern that still misses the tolerance raises TruncationError.
+* Each Bessel row is cut once, at N = ceil(|xi| + 8 |xi|^(1/3) + 12)
+  (J_n dies super-exponentially past n ~ xi), and reports the probability
+  2 sum_{n>N} J_n^2 it discards, at most ~1e-24 for any |xi| <= 1e4.  A
+  pattern whose truncation residual (see :func:`quadrupole_pattern`) is
+  not below the requested tolerance raises TruncationError.
 
 :func:`phase_grating_oracle` is an independent check on all of the above:
 it samples the exit wave on a grid over one full spatial period 2 pi / k_L
@@ -63,15 +63,13 @@ __all__ = [
 ]
 
 _MAX_BESSEL_ARG = 1e4
-_MAX_HALF_ORDERS = 20000
 
 # exact unit values of i**n, indexed by n mod 4
 _I_POW = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
 
 class TruncationError(RuntimeError):
-    """Requested tolerance unreachable within the series cap; the phase
-    magnitude is outside the physically sensible range."""
+    """The truncated series discards the requested tolerance or more."""
 
 
 class PhaseRangeError(TruncationError, ValueError):
@@ -82,8 +80,8 @@ class PhaseRangeError(TruncationError, ValueError):
 # Bessel functions of the first kind
 # ---------------------------------------------------------------------------
 
-def _bessel_row_series(x: float, nmax: int) -> np.ndarray:
-    """J_0..J_nmax by the ascending power series; x in [0, 2), any nmax."""
+def _bessel_row_series(x: float, nmax: int) -> tuple[np.ndarray, float]:
+    """J_0..J_nmax by the ascending power series, and a tail bound; x in [0, 2)."""
     out = []
     half = 0.5 * x
     ratio = -(half * half)
@@ -101,11 +99,16 @@ def _bessel_row_series(x: float, nmax: int) -> np.ndarray:
                 break
         out.append(s)
         term0 *= half / (n + 1)
-    return np.array(out)
+    # J_{nmax+1} lies below its series' first three terms (they alternate and
+    # shrink); beyond, |J_n| <= (x/2)^n / n! (DLMF 10.14.4), term0 at nmax + 1
+    m = nmax + 2
+    first = term0 * (1.0 + ratio / m * (1.0 + ratio / (2.0 * (m + 1))))
+    r = half / m
+    return np.array(out), 2.0 * (first * first + (term0 * r) ** 2 / (1.0 - r * r))
 
 
-def _bessel_row_miller(x: float, nmax: int) -> np.ndarray:
-    """J_0..J_nmax by downward recurrence with normalisation; x >= 2.
+def _bessel_row_miller(x: float, nmax: int) -> tuple[np.ndarray, float]:
+    """J_0..J_nmax by normalised downward recurrence, and their tail; x >= 2.
 
     Seeds the two-term recurrence high above both nmax and the turning
     point n ~ x, recurses down, and rescales on the fly to dodge overflow.
@@ -125,11 +128,13 @@ def _bessel_row_miller(x: float, nmax: int) -> np.ndarray:
             # so far to keep the chain inside double range
             j[k - 1 :] = [v * 1e-250 for v in j[k - 1 :]]
     norm = j[0] + 2.0 * math.fsum(j[2 : start + 1 : 2])
-    return np.array(j[: nmax + 1]) / norm
+    # hypot scales its arguments, so the squares cannot overflow
+    tail = 2.0 * (math.hypot(*j[nmax + 1 : start + 1]) / norm) ** 2
+    return np.array(j[: nmax + 1]) / norm, tail
 
 
-def _bessel_row(x: float, nmax: int) -> np.ndarray:
-    """J_n(x) for n = 0..nmax at non-negative x."""
+def _bessel_row(x: float, nmax: int) -> tuple[np.ndarray, float]:
+    """J_n(x) for n = 0..nmax at x >= 0, and the tail 2 sum_{n>nmax} J_n(x)^2."""
     if x < 2.0:
         return _bessel_row_series(x, nmax)
     return _bessel_row_miller(x, nmax)
@@ -157,7 +162,7 @@ def bessel_J(n: int, x: float) -> float:
         x = -x
         if n % 2:
             sign = -sign
-    return sign * float(_bessel_row(x, n)[n])
+    return sign * float(_bessel_row(x, n)[0][n])
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +221,12 @@ class DiffractionPattern:
     """Per-order complex amplitudes and intensities of the exit wave.
 
     ``orders`` holds even momentum orders q (units of k_L, relative to the
-    incident beam); ``intensities`` is elementwise |amplitude|^2.  The kept
-    probability is 1 - truncation_residual.  ``odd_leakage`` is filled by
-    the Fourier oracle with the largest amplitude it saw on any odd order
-    (an internal-consistency diagnostic; analytic engines report 0).
+    incident beam); ``intensities`` is elementwise |amplitude|^2.
+    ``truncation_residual`` is the discarded probability (dipole, oracle) or
+    a leading-order bound on sum_q |A(q) - A_exact(q)|^2 (quadrupole).
+    ``odd_leakage`` is filled by the Fourier oracle with the largest
+    amplitude it saw on any odd order (an internal-consistency diagnostic;
+    analytic engines report 0).
     """
 
     orders: np.ndarray            # int, ascending
@@ -273,34 +280,21 @@ def _check_tolerance(tolerance: float):
         raise ValueError(f"tolerance must be in (0, 1e-3], got {tolerance}")
 
 
-def _rule_half_orders(xi: float) -> int:
-    a = abs(xi)
-    return int(math.ceil(a + 8.0 * a ** (1.0 / 3.0) + 12.0))
-
-
-def _truncated_bessel(xi: float, share: float) -> np.ndarray:
-    """J_n(xi) for n = -N..N with the tail probability below ``share``.
+def _truncated_bessel(xi: float) -> tuple[np.ndarray, float]:
+    """J_n(xi) for n = -N..N, N = ceil(|xi| + 8 |xi|^(1/3) + 12), and the
+    probability 2 sum_{n>N} J_n(xi)^2 the row discards.
 
     Returns the signed row (J_{-n} = (-1)^n J_n).  xi = 0 collapses to the
     exact single-entry row [1], which keeps convolutions with inactive
     terms bit-transparent.
     """
     if xi == 0.0:
-        return np.array([1.0])
+        return np.array([1.0]), 0.0
     if not math.isfinite(xi) or abs(xi) > _MAX_BESSEL_ARG:
         raise PhaseRangeError(f"phase {xi!r} is beyond the {_MAX_BESSEL_ARG:g} rad range")
-    n = _rule_half_orders(xi)
-    while True:
-        row = _bessel_row(abs(xi), n)
-        tail = 1.0 - (row[0] ** 2 + 2.0 * float(np.sum(row[1:] ** 2)))
-        if tail < share:
-            break
-        if n >= _MAX_HALF_ORDERS:
-            raise TruncationError(
-                f"cannot reach tolerance share {share:g} within {n} orders for "
-                f"phase {xi:g}"
-            )
-        n = min(2 * n, _MAX_HALF_ORDERS)
+    a = abs(xi)
+    n = int(math.ceil(a + 8.0 * a ** (1.0 / 3.0) + 12.0))
+    row, tail = _bessel_row(a, n)
     # assemble J_k(xi) for k = -n..n from the non-negative-argument row using
     # J_{-k}(x) = (-1)^k J_k(x) and J_k(-x) = (-1)^k J_k(x)
     alt = np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
@@ -312,7 +306,7 @@ def _truncated_bessel(xi: float, share: float) -> np.ndarray:
     else:
         full[n + 1 :] = alt * row[1:]
         full[:n] = row[1:][::-1]
-    return full
+    return full, tail
 
 
 def _i_powers(half_orders: np.ndarray) -> np.ndarray:
@@ -367,20 +361,22 @@ def dipole_pattern(theta0: float, tolerance: float = 1e-10) -> DiffractionPatter
     """Diffraction orders of the pure cos^2 grating.
 
     Order q = 2n carries amplitude i^n J_n(theta0), intensity J_n(theta0)^2;
-    the symmetric truncation keeps the discarded probability below
+    ``truncation_residual`` is the probability the symmetric truncation
+    discards, and TruncationError is raised unless it is below
     ``tolerance``.  theta0 = U0 tau / 2 hbar.
     """
     _check_tolerance(tolerance)
-    row = _truncated_bessel(float(theta0), tolerance)
+    row, tail = _truncated_bessel(float(theta0))
+    if not tail < tolerance:
+        raise TruncationError(f"cannot reach tolerance {tolerance:g} for phase {theta0:g}")
     n = (len(row) - 1) // 2
     half = np.arange(-n, n + 1)
     amps = _i_powers(half) * row
-    residual = 1.0 - float(np.sum(row * row))
     return DiffractionPattern(
         orders=2 * half,
         amplitudes=amps,
         truncation_order=2 * n,
-        truncation_residual=residual,
+        truncation_residual=tail,
         global_phase=float(theta0),
     )
 
@@ -394,9 +390,11 @@ def quadrupole_pattern(phases: PhaseSet, tolerance: float = 1e-10) -> Diffractio
     of half-orders so the 4k_L rows land on even lattice sites.  With all
     quadrupole phases zero the result reproduces :func:`dipole_pattern`
     exactly, convolution against the single-entry identity row being
-    transparent.  Each row keeps its discarded probability below
-    ``tolerance / 8``; if the convolved pattern still discards ``tolerance``
-    or more, TruncationError is raised.
+    transparent.  ``truncation_residual`` is (sum_i sqrt t_i)^2 over the
+    tails t_i the four rows discard.  Each comb is a unit-modulus factor of
+    the exit wave, so swapping them one at a time for their truncations
+    telescopes: to leading order this bounds sum_q |A(q) - A_exact(q)|^2.
+    TruncationError is raised unless it is below ``tolerance``.
 
     Long rows (phases from a few tens of radians up) are combined in one FFT
     product instead, chosen from the row lengths alone by
@@ -406,11 +404,13 @@ def quadrupole_pattern(phases: PhaseSet, tolerance: float = 1e-10) -> Diffractio
     can carry a few more orders, each below 1e-15 in magnitude.
     """
     _check_tolerance(tolerance)
-    share = tolerance / 8.0
-    t0, a2, a4, c4 = (
-        _truncated_bessel(float(xi), share)
+    (t0, r0), (a2, ra2), (a4, ra4), (c4, rc4) = (
+        _truncated_bessel(float(xi))
         for xi in (phases.theta0, phases.thetaA2, phases.thetaA4, phases.thetaC4)
     )
+    residual = (math.sqrt(r0) + math.sqrt(ra2) + math.sqrt(ra4) + math.sqrt(rc4)) ** 2
+    if not residual < tolerance:
+        raise TruncationError(f"cannot reach tolerance {tolerance:g} for phases {phases}")
     n0, nc4 = (len(t0) - 1) // 2, (len(c4) - 1) // 2
     conv = _convolve_rows((
         _i_powers(np.arange(-n0, n0 + 1)) * t0,
@@ -418,12 +418,9 @@ def quadrupole_pattern(phases: PhaseSet, tolerance: float = 1e-10) -> Diffractio
         _dilate(a4),
         _dilate(_i_powers(np.arange(-nc4, nc4 + 1)) * c4),
     ))
-    residual = 1.0 - float(np.sum(conv.real**2 + conv.imag**2))
-    if not residual < tolerance:
-        raise TruncationError(f"cannot reach tolerance {tolerance:g} for phases {phases}")
     h = (len(conv) - 1) // 2
-    # drop support padding whose amplitudes underflowed to exactly zero;
-    # residual < tolerance leaves at least one nonzero amplitude
+    # drop support padding whose amplitudes underflowed to exactly zero; the
+    # kept probability is close to 1, so at least one amplitude is nonzero
     nonzero = np.nonzero(conv)[0]
     h_keep = int(np.max(np.abs(nonzero - h)))
     conv = conv[h - h_keep : h + h_keep + 1]

@@ -63,10 +63,7 @@ def _random_model(rng: np.random.Generator, tau: float, k_l: float):
     )
 
 
-def run_checks(
-    seed: int = 0,
-    tolerance: float = 1e-10,
-) -> list[CheckResult]:
+def run_checks(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     tau, k_l = 1e-12, 1.2566e10
 
@@ -76,8 +73,8 @@ def run_checks(
     for _ in range(25):
         model = _random_model(rng, tau, k_l)
         phases = diffraction.phases_from_potential(model, tau)
-        analytic = diffraction.quadrupole_pattern(phases, tolerance)
-        oracle = diffraction.phase_grating_oracle(model, tau, tolerance=tolerance)
+        analytic = diffraction.quadrupole_pattern(phases)
+        oracle = diffraction.phase_grating_oracle(model, tau)
         oracle_dev = max(oracle_dev, _pattern_pair_dev(analytic, oracle))
         for pattern in (analytic, oracle):
             unitarity_dev = max(
@@ -88,8 +85,8 @@ def run_checks(
     reduction_dev = 0.0
     for _ in range(10):
         theta0 = float(rng.uniform(-3.0, 3.0))
-        dip = diffraction.dipole_pattern(theta0, tolerance)
-        quad = diffraction.quadrupole_pattern(PhaseSet(theta0), tolerance)
+        dip = diffraction.dipole_pattern(theta0)
+        quad = diffraction.quadrupole_pattern(PhaseSet(theta0))
         reduction_dev = max(reduction_dev, _pattern_pair_dev(dip, quad))
 
     bessel_dev = 0.0

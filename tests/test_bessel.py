@@ -1,11 +1,12 @@
-"""Bessel layer against the extended-precision power-series oracle."""
+"""Bessel layer against the extended-precision power-series oracle, mpmath
+and scipy.special.jv."""
 
 import math
 
 import numpy as np
 import pytest
 
-from xkd.diffraction import _bessel_row, bessel_J
+from xkd.diffraction import _bessel_row, bessel_J, dipole_pattern
 
 from conftest import bessel_series_oracle
 
@@ -28,8 +29,8 @@ def test_spot_values():
     assert bessel_J(3, 0.0) == 0.0
     # a zero argument gives the exact unit row, +0.0 beyond J_0, at either sign
     unit_row = np.eye(1, 201).ravel().tobytes()
-    assert _bessel_row(0.0, 200).tobytes() == unit_row
-    assert _bessel_row(-0.0, 200).tobytes() == unit_row
+    assert _bessel_row(0.0, 200)[0].tobytes() == unit_row
+    assert _bessel_row(-0.0, 200)[0].tobytes() == unit_row
     assert math.copysign(1.0, bessel_J(-3, 0.0)) == -1.0
     # frozen from the 50-digit series oracle
     assert bessel_J(1, 1.0) == pytest.approx(0.44005058574493351596, rel=1e-14)
@@ -76,12 +77,46 @@ def test_rescaled_miller_row_against_mpmath():
     # any absolute floor, right or wrong)
     import mpmath as mp
 
-    row = _bessel_row(2.5, 200)
+    row = _bessel_row(2.5, 200)[0]
     for n in range(0, 201):
         with mp.workdps(40):
             ref = float(mp.besselj(n, mp.mpf("2.5")))
         err = abs(row[n] - ref)
         assert err <= 1e-15 or err <= 1e-13 * abs(ref), (n, row[n], ref)
+
+
+def _scipy_tail(x, nmax):
+    """2 sum_{n>nmax} J_n(x)^2 by scipy.special.jv, until the terms fall
+    1e-20 below the running total."""
+    from scipy.special import jv
+
+    total, n = 0.0, nmax + 1
+    while True:
+        term = 2.0 * float(jv(n, x)) ** 2
+        total += term
+        if term <= 1e-20 * total:
+            return total
+        n += 1
+
+
+@pytest.mark.parametrize("x", [*np.logspace(-6.0, 4.0, 80), 1.999, 2.0, 2.001])
+def test_row_tail_against_scipy(x):
+    # the tail a row cut at the engine's N discards: the Miller path sums
+    # its own orders above N, the series path bounds them from above
+    x = float(x)
+    nmax = math.ceil(x + 8.0 * x ** (1.0 / 3.0) + 12.0)
+    tail = _bessel_row(x, nmax)[1]
+    ref = _scipy_tail(x, nmax)
+    if x >= 2.0:
+        assert abs(tail - ref) <= 1e-10 * ref, (x, tail, ref)
+    else:
+        assert ref * (1.0 - 1e-12) <= tail <= 1.05 * ref, (x, tail, ref)
+
+
+def test_residual_at_the_phase_range_corners():
+    for theta0 in (1e4, -1e4):
+        assert 0.0 < dipole_pattern(theta0).truncation_residual < 1e-24
+
 
 def test_deep_evanescent_orders_underflow_gracefully():
     # true value ~1e-130; anything below the absolute floor is acceptable

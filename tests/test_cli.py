@@ -306,16 +306,6 @@ class TestUsageErrors:
     def test_missing_config_file(self, capsys):
         assert cli.main(["plan", "--config", "/no/such/file.json"]) == 1
 
-    def test_bad_tolerance(self, tmp_path):
-        cfg = dipole_config(tmp_path)
-        assert (
-            cli.main(
-                ["pattern", "--config", cfg, "--out", str(tmp_path / "x.csv"),
-                 "--tolerance", "0.5"]
-            )
-            == 1
-        )
-
     def test_unknown_command_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
@@ -507,13 +497,4 @@ def test_misspelt_catalog_key_exits_one_naming_it(tmp_path, capsys):
     out.unlink()
     assert cli.main(["pattern", "--config", cfg, "--out", str(out)]) == 1
     assert "unknown key 'A_qd'" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_tolerance_out_of_reach_exits_three(tmp_path, capsys):
-    out = tmp_path / "p.csv"
-    argv = ["pattern", "--config", str(CONFIGS / "pattern_quadrupole.json"),
-            "--out", str(out), "--tolerance", "1e-16"]
-    assert cli.main(argv) == 3
-    assert "numeric failure" in capsys.readouterr().err
     assert not out.exists()
