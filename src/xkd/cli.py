@@ -5,7 +5,8 @@ are CSV/JSON documents plus an optional self-contained SVG bar chart.  For
 a fixed config and seed every output is byte-identical across runs.  Exit
 codes: 0 success, 1 invalid input, 2 one or more feasibility flags failed
 or a fit did not converge (the report is still written), 3 internal
-numeric failure.
+numeric failure, 141 (128 + SIGPIPE) standard output closed by its reader
+(files are still written, nothing is printed on stderr).
 """
 
 from __future__ import annotations
@@ -110,10 +111,9 @@ def _pattern_svg(pattern: diffraction.DiffractionPattern) -> str:
     orders = [int(q) for q in pattern.orders]
     intensities = [float(v) for v in pattern.intensities]
     width, height, margin = 640, 360, 46
-    top = max(intensities) if intensities else 1.0
-    top = top if top > 0 else 1.0
+    top = max(intensities)  # a pattern keeps probability ~1, so top > 0
     n = len(orders)
-    slot = (width - 2 * margin) / max(n, 1)
+    slot = (width - 2 * margin) / n
     bar = max(slot * 0.6, 1.0)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -285,9 +285,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     checks = verify_mod.run_checks(seed=args.seed)
     text = verify_mod.format_report(checks, args.seed)
-    sys.stdout.write(text)
     if args.out:
         _write(args.out, text)
+    sys.stdout.write(text)
     return 0 if all(c.passed for c in checks) else 3
 
 
@@ -344,9 +344,16 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed reader fails here, not in the interpreter's last flush
+        return code
+    # BrokenPipeError is an OSError, so it must be caught before invalid input
+    except BrokenPipeError:
+        # exit as SIGPIPE would; devnull keeps the interpreter's final flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     # LinAlgError is a ValueError, so it must be caught before invalid input
-    except (diffraction.TruncationError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (diffraction.TruncationError, np.linalg.LinAlgError) as exc:
         print(f"xkd: numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

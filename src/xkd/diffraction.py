@@ -153,16 +153,9 @@ def bessel_J(n: int, x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or abs(x) > _MAX_BESSEL_ARG:
         raise ValueError(f"bessel_J argument out of range (|x| <= {_MAX_BESSEL_ARG:g}): {x}")
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2:
-            sign = -sign
-    if x < 0.0:
-        x = -x
-        if n % 2:
-            sign = -sign
-    return sign * float(_bessel_row(x, n)[0][n])
+    # an odd n flips the sign once per negative of n and x
+    sign = -1.0 if n % 2 and (n < 0) != (x < 0.0) else 1.0
+    return sign * float(_bessel_row(abs(x), abs(n))[0][abs(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -220,36 +213,35 @@ def phases_from_potential(model: PotentialModel, tau: float) -> PhaseSet:
 class DiffractionPattern:
     """Per-order complex amplitudes and intensities of the exit wave.
 
-    ``orders`` holds even momentum orders q (units of k_L, relative to the
-    incident beam); ``intensities`` is elementwise |amplitude|^2.
-    ``truncation_residual`` is the discarded probability (dipole, oracle) or
-    a leading-order bound on sum_q |A(q) - A_exact(q)|^2 (quadrupole).
-    ``odd_leakage`` is filled by the Fourier oracle with the largest
-    amplitude it saw on any odd order (an internal-consistency diagnostic;
-    analytic engines report 0).
+    The odd-length ``amplitudes`` are the symmetric window of even orders
+    q = -2h..2h (units of k_L, relative to the incident beam), from which
+    ``orders``, ``truncation_order`` = 2h and the |amplitude|^2
+    ``intensities`` derive.  ``truncation_residual`` is the discarded
+    probability (dipole, oracle) or a leading-order bound on
+    sum_q |A(q) - A_exact(q)|^2 (quadrupole).  ``odd_leakage`` is filled by
+    the Fourier oracle with the largest amplitude it saw on any odd order (an
+    internal-consistency diagnostic; analytic engines report 0).
     """
 
-    orders: np.ndarray            # int, ascending
-    amplitudes: np.ndarray        # complex
-    truncation_order: int
+    amplitudes: np.ndarray        # complex, orders -2h..2h
     truncation_residual: float
     global_phase: float = 0.0
     odd_leakage: float = 0.0
+    orders: np.ndarray = field(init=False)
+    truncation_order: int = field(init=False)
     intensities: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        orders = np.asarray(self.orders, dtype=int)
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if orders.shape != amps.shape:
-            raise ValueError("orders and amplitudes must have matching shape")
-        if np.any(orders % 2 != 0):
-            raise ValueError("only even diffraction orders can carry amplitude")
-        if np.any(np.diff(orders) <= 0):
-            raise ValueError("orders must be strictly ascending")
+        if amps.ndim != 1 or len(amps) % 2 == 0:
+            raise ValueError("amplitudes must be a 1-D window of odd length, orders -2h..2h")
+        h = (len(amps) - 1) // 2
+        orders = 2 * np.arange(-h, h + 1)
         intens = amps.real**2 + amps.imag**2
         for arr in (orders, amps, intens):
             arr.setflags(write=False)
         object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "truncation_order", 2 * h)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "intensities", intens)
 
@@ -261,13 +253,12 @@ class DiffractionPattern:
         return float(self.intensities_at(q)[0])
 
     def amplitudes_at(self, qs) -> np.ndarray:
-        """Amplitudes at the orders ``qs``, 0 outside the kept support."""
+        """Amplitudes at the integer orders ``qs``, 0 at odd q and outside the window."""
         qs = np.atleast_1d(qs)
-        idx = np.searchsorted(self.orders, qs)
-        hit = idx < len(self.orders)
-        hit[hit] = self.orders[idx[hit]] == qs[hit]
+        top = self.truncation_order
+        hit = (qs % 2 == 0) & (np.abs(qs) <= top)
         out = np.zeros(qs.shape, complex)
-        out[hit] = self.amplitudes[idx[hit]]
+        out[hit] = self.amplitudes[(qs[hit] + top) // 2]
         return out
 
     def intensities_at(self, qs) -> np.ndarray:
@@ -309,9 +300,10 @@ def _truncated_bessel(xi: float) -> tuple[np.ndarray, float]:
     return full, tail
 
 
-def _i_powers(half_orders: np.ndarray) -> np.ndarray:
-    """Exact i**n for integer n of either sign."""
-    return _I_POW[np.mod(half_orders, 4)]
+def _times_i_powers(row: np.ndarray) -> np.ndarray:
+    """A symmetric row of terms n = -N..N, each times the exact i**n."""
+    n = (len(row) - 1) // 2
+    return _I_POW[np.mod(np.arange(-n, n + 1), 4)] * row
 
 
 def _dilate(row: np.ndarray) -> np.ndarray:
@@ -369,13 +361,8 @@ def dipole_pattern(theta0: float, tolerance: float = 1e-10) -> DiffractionPatter
     row, tail = _truncated_bessel(float(theta0))
     if not tail < tolerance:
         raise TruncationError(f"cannot reach tolerance {tolerance:g} for phase {theta0:g}")
-    n = (len(row) - 1) // 2
-    half = np.arange(-n, n + 1)
-    amps = _i_powers(half) * row
     return DiffractionPattern(
-        orders=2 * half,
-        amplitudes=amps,
-        truncation_order=2 * n,
+        amplitudes=_times_i_powers(row),
         truncation_residual=tail,
         global_phase=float(theta0),
     )
@@ -411,24 +398,19 @@ def quadrupole_pattern(phases: PhaseSet, tolerance: float = 1e-10) -> Diffractio
     residual = (math.sqrt(r0) + math.sqrt(ra2) + math.sqrt(ra4) + math.sqrt(rc4)) ** 2
     if not residual < tolerance:
         raise TruncationError(f"cannot reach tolerance {tolerance:g} for phases {phases}")
-    n0, nc4 = (len(t0) - 1) // 2, (len(c4) - 1) // 2
     conv = _convolve_rows((
-        _i_powers(np.arange(-n0, n0 + 1)) * t0,
+        _times_i_powers(t0),
         a2,
         _dilate(a4),
-        _dilate(_i_powers(np.arange(-nc4, nc4 + 1)) * c4),
+        _dilate(_times_i_powers(c4)),
     ))
     h = (len(conv) - 1) // 2
     # drop support padding whose amplitudes underflowed to exactly zero; the
     # kept probability is close to 1, so at least one amplitude is nonzero
     nonzero = np.nonzero(conv)[0]
     h_keep = int(np.max(np.abs(nonzero - h)))
-    conv = conv[h - h_keep : h + h_keep + 1]
-    half = np.arange(-h_keep, h_keep + 1)
     return DiffractionPattern(
-        orders=2 * half,
-        amplitudes=conv,
-        truncation_order=2 * h_keep,
+        amplitudes=conv[h - h_keep : h + h_keep + 1],
         truncation_residual=residual,
         global_phase=float(phases.global_phase),
     )
@@ -449,6 +431,11 @@ def phase_grating_oracle(
     cross-validate the analytic engines.  The overall phase from the DC
     Fourier term is divided out and reported in ``global_phase`` so the
     amplitudes are directly comparable with the analytic patterns.
+
+    The window ends at the outermost even order above intensity 1e-26;
+    ``truncation_residual`` sums the even orders beyond it, so it is never
+    negative.  TruncationError is raised if the window reaches the grid
+    edge, or unless the residual is below ``tolerance``.
     """
     m = int(grid_points)
     if m < 4096 or (m & (m - 1)) != 0:
@@ -463,34 +450,20 @@ def phase_grating_oracle(
     coeff = coeff * np.exp(-1j * gp)
 
     odd_leakage = float(np.max(np.abs(coeff[1::2])))
-    # even harmonics, reordered to signed q = 2h for h = -m/4 .. m/4 - 1
-    evens = coeff[::2]
+    # even harmonics, reordered to signed q = 2k for k = -m/4 .. m/4 - 1
+    signed = np.fft.fftshift(coeff[::2])
     hmax = m // 4
-    signed = np.concatenate([evens[hmax:], evens[:hmax]])  # h = -hmax..hmax-1
     power = signed.real**2 + signed.imag**2
-    center = hmax
-    # largest |amplitude|^2 strictly outside a symmetric window of half-width h
-    out_right = np.zeros(len(power))
-    out_right[:-1] = np.maximum.accumulate(power[::-1])[::-1][1:]
-    out_left = np.zeros(len(power))
-    out_left[1:] = np.maximum.accumulate(power)[:-1]
-    # symmetric support wide enough that the residual is below tolerance and
-    # every dropped amplitude is negligible for per-order comparisons
-    kept = power[center]
-    h = 0
-    while 1.0 - kept >= 0.5 * tolerance or max(
-        out_right[center + h], out_left[center - h]
-    ) > (1e-13) ** 2:
-        h += 1
-        if h >= hmax - 1:
-            raise TruncationError("grid too small for the requested tolerance")
-        kept += power[center - h] + power[center + h]
-    amps = signed[center - h : center + h + 1]
+    # the even orders carry probability ~1, so some order passes 1e-26
+    h = int(np.max(np.abs(np.flatnonzero(power > 1e-26) - hmax)))
+    if h >= hmax - 1:
+        raise TruncationError(f"the pattern reaches the edge of the {m}-point grid")
+    residual = float(np.sum(power[: hmax - h]) + np.sum(power[hmax + h + 1 :]))
+    if not residual < tolerance:
+        raise TruncationError(f"cannot reach tolerance {tolerance:g} on a {m}-point grid")
     return DiffractionPattern(
-        orders=2 * np.arange(-h, h + 1),
-        amplitudes=amps,
-        truncation_order=2 * h,
-        truncation_residual=1.0 - float(kept),
+        amplitudes=signed[hmax - h : hmax + h + 1],
+        truncation_residual=residual,
         global_phase=float(gp),
         odd_leakage=odd_leakage,
     )

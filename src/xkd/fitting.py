@@ -257,10 +257,8 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
 
 def _sigmas(jtj: np.ndarray, residual: float, n_obs: int) -> tuple[float, ...]:
     """First-order 1-sigma parameter errors from the normal matrix."""
-    dof = n_obs - jtj.shape[0]
-    if dof <= 0:
-        return tuple(0.0 for _ in range(jtj.shape[0]))
-    s2 = residual / dof
+    # both fits need more rows than parameters, so dof >= 1
+    s2 = residual / (n_obs - jtj.shape[0])
     try:
         cov = s2 * np.linalg.inv(jtj)
     except np.linalg.LinAlgError:

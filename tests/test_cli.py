@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -300,6 +301,35 @@ class TestVerify:
 
         monkeypatch.setattr(diffraction, "bessel_J", skewed)
         assert cli.main(["verify", "--seed", "0"]) != 0
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+class TestClosedStdout:
+    # the reader closes the pipe while the child still imports numpy, so its
+    # first write meets EPIPE; buffered or not, the child must exit 141 with
+    # nothing on stderr, its files written in full
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv, golden", [
+        (["verify", "--seed", "7"], "verify_seed7.txt"),
+        (["plan", "--config", "configs/plan_xray.json"], "plan_xray.json"),
+        (["pattern", "--config", "configs/pattern_dipole.json"], "pattern_dipole.csv"),
+    ], ids=["verify", "plan", "pattern"])
+    def test_exits_141_quietly_and_keeps_the_out_file(self, tmp_path, argv, golden, unbuffered):
+        out = tmp_path / golden
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": unbuffered}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "xkd", *argv, "--out", str(out)],
+            cwd=REPO, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert stderr == b""
+        assert out.read_bytes() == (REPO / "tests" / "data" / golden).read_bytes()
 
 
 class TestUsageErrors:

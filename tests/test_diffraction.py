@@ -17,7 +17,7 @@ from xkd.diffraction import (
     phases_from_potential,
     quadrupole_pattern,
 )
-from xkd.potentials import build_potential
+from xkd.potentials import build_potential, evaluate_potential
 
 from conftest import bessel_series_oracle, pattern_max_dev
 
@@ -346,6 +346,33 @@ class TestOracle:
             )
         assert worst < 1e-9
 
+    def test_window_reaching_the_grid_edge_fails(self):
+        # theta0 = 2000 fills q = 2n for |n| up to about 2,100, and a
+        # 4096-point grid holds only |n| <= 1024
+        with pytest.raises(TruncationError, match="edge of the 4096-point grid"):
+            phase_grating_oracle(model_from_phases(2000.0), TAU, grid_points=4096)
+
+    def test_tolerance_below_the_residual_fails_at_once(self):
+        with pytest.raises(TruncationError, match="cannot reach tolerance 1e-30"):
+            phase_grating_oracle(model_from_phases(1.0), TAU, tolerance=1e-30)
+
+    def test_residual_is_the_power_outside_the_window(self):
+        # on every oracle input of verify seeds 0-39: the even-order power
+        # the window leaves out, summed here from a fresh transform
+        m = 16384
+        x = np.arange(m) * (2.0 * np.pi / K_L) / m
+        k = np.fft.fftfreq(m // 2, 1.0 / (m // 2)).astype(int)  # even harmonics q = 2k
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            for _ in range(25):
+                model = verify._random_model(rng, TAU, K_L)
+                p = phase_grating_oracle(model, TAU, grid_points=m)
+                psi = np.exp(1j * evaluate_potential(model, x) * (TAU / HBAR))
+                evens = np.fft.fft(psi)[::2] / m
+                outside = np.sum(np.abs(evens[np.abs(k) > p.truncation_order // 2]) ** 2)
+                assert p.truncation_residual >= 0.0
+                assert p.truncation_residual == pytest.approx(outside, rel=1e-12, abs=0.0)
+
     def test_verify_deviation_keeps_the_bits_of_the_order_loop(self):
         # verify's one-search deviation against the per-order loop it replaced
         rng = np.random.default_rng(7)
@@ -357,19 +384,33 @@ class TestOracle:
 
 
 class TestPatternType:
+    def test_every_engine_returns_the_symmetric_even_window(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            theta0, theta_a2, theta_c4 = rng.uniform(-2.0, 2.0, 3) ** 3 * 5.0
+            m = model_from_phases(theta0, theta_a2, theta_c4)
+            for p in (
+                dipole_pattern(theta0),
+                quadrupole_pattern(phases_from_potential(m, TAU)),
+                phase_grating_oracle(m, TAU),
+            ):
+                h = len(p.amplitudes) // 2
+                assert np.array_equal(p.orders, 2 * np.arange(-h, h + 1))
+                assert p.truncation_order == p.orders[-1]
+
     def test_intensity_is_exact_square(self):
         p = quadrupole_pattern(PhaseSet(1.1, 0.4, 0.2, -0.6))
         for amp, intens in zip(p.amplitudes, p.intensities):
             assert intens == amp.real**2 + amp.imag**2
 
-    def test_rejects_odd_orders(self):
-        with pytest.raises(ValueError):
-            DiffractionPattern(
-                orders=np.array([1]),
-                amplitudes=np.array([1.0 + 0j]),
-                truncation_order=1,
-                truncation_residual=0.0,
-            )
+    def test_rejects_a_window_that_is_not_odd_and_1d(self):
+        # the amplitudes are the window q = -2h..2h, so only an odd-length
+        # row can be one
+        for amps in (np.array([]), np.ones(2, complex), np.ones((3, 3), complex)):
+            with pytest.raises(ValueError, match="odd length"):
+                DiffractionPattern(amplitudes=amps, truncation_residual=0.0)
+        p = DiffractionPattern(amplitudes=np.ones(5, complex), truncation_residual=0.0)
+        assert p.orders.tolist() == [-4, -2, 0, 2, 4] and p.truncation_order == 4
 
     def test_amplitude_lookup_outside_support(self):
         p = dipole_pattern(0.5)
@@ -391,12 +432,6 @@ class TestPatternType:
         assert amps[0] == amps[-1] == intens[0] == intens[-1] == 0.0
         assert p.intensities_at(p.orders).tolist() == p.intensities.tolist()
         assert p.amplitudes_at(2).tolist() == [p.amplitude(2)]
-
-    def test_vector_lookup_on_an_empty_pattern(self):
-        p = DiffractionPattern(orders=np.array([], dtype=int), amplitudes=np.array([]),
-                               truncation_order=0, truncation_residual=1.0)
-        assert p.amplitudes_at([0, 2]).tolist() == [0.0, 0.0]
-        assert p.intensity(0) == 0.0
 
     def test_arrays_are_frozen(self):
         p = dipole_pattern(0.5)
