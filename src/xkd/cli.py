@@ -4,9 +4,11 @@ All inputs come from JSON config files and CSV observation files; outputs
 are CSV/JSON documents plus an optional self-contained SVG bar chart.  For
 a fixed config and seed every output is byte-identical across runs.  Exit
 codes: 0 success, 1 invalid input, 2 one or more feasibility flags failed
-or a fit did not converge (the report is still written), 3 internal
-numeric failure, 141 (128 + SIGPIPE) standard output closed by its reader
-(files are still written, nothing is printed on stderr).
+or a fit did not converge (the report is still written), 3 a verify check
+failed, 141 (128 + SIGPIPE) standard output closed by its reader (files
+are still written, nothing is printed on stderr).  A JSON report never
+holds a non-finite number: a fit sigma that the normal matrix leaves
+undefined is written as null.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
 
 from .constants import EV
 from . import diffraction, feasibility, fitting, verify as verify_mod
@@ -57,7 +57,7 @@ def _blame(doc: dict, where: str, *keys: str):
     overflows) against those of them that ``doc`` holds."""
     try:
         yield
-    except (CatalogError, np.linalg.LinAlgError):
+    except CatalogError:
         raise
     except (ValueError, ArithmeticError) as exc:
         names = ", ".join(f"'{key}'" for key in keys if key in doc)
@@ -148,15 +148,16 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
+def _write_json(path: str, payload: dict):
+    # allow_nan=False: Infinity and NaN are not JSON (RFC 8259)
+    _write(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
 def cmd_pattern(args: argparse.Namespace) -> int:
     doc = _known(_read_object(args.config), args.config, _PATTERN_KEYS)
     pattern = _pattern(doc, args.config)
     if args.out.endswith(".json"):
-        _write(
-            args.out,
-            json.dumps(diffraction.pattern_to_dict(pattern), indent=2, sort_keys=True)
-            + "\n",
-        )
+        _write_json(args.out, diffraction.pattern_to_dict(pattern))
     else:
         _write(args.out, diffraction.intensities_csv(pattern))
     if args.plot:
@@ -203,7 +204,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     payload["intensity_W_m2"] = laser.intensity
     payload["U_target_eV"] = u_target / EV
     if args.out:
-        _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(args.out, payload)
 
     rows = [
         ("recoil energy", f"{report.recoil_energy:.6e} eV"),
@@ -267,7 +268,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             )
             estimate = fitting.polarizability_estimates(result, laser, laser.pulse_duration)
         payload["polarizabilities"] = dataclasses.asdict(estimate)
-    _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(args.out, payload)
 
     print(
         f"fit ({model}): theta0 = {result.theta0_hat:.8f}, "
@@ -352,10 +353,6 @@ def main(argv=None) -> int:
         # exit as SIGPIPE would; devnull keeps the interpreter's final flush quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    # LinAlgError is a ValueError, so it must be caught before invalid input
-    except (diffraction.TruncationError, np.linalg.LinAlgError) as exc:
-        print(f"xkd: numeric failure: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"xkd: {exc}", file=sys.stderr)
         return 1

@@ -50,8 +50,3 @@ def field_amplitude_squared(intensity: float) -> float:
     volume in m^3 yields joules directly.
     """
     return 8.0 * math.pi * intensity / C
-
-
-def field_amplitude(intensity: float) -> float:
-    """Gaussian-convention E0 in (J/m^3)**0.5; pairs with ``E2_GAUSS**0.5``."""
-    return math.sqrt(field_amplitude_squared(intensity))

@@ -209,7 +209,7 @@ def phases_from_potential(model: PotentialModel, tau: float) -> PhaseSet:
 # Diffraction patterns
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffractionPattern:
     """Per-order complex amplitudes and intensities of the exit wave.
 
@@ -220,7 +220,8 @@ class DiffractionPattern:
     probability (dipole, oracle) or a leading-order bound on
     sum_q |A(q) - A_exact(q)|^2 (quadrupole).  ``odd_leakage`` is filled by
     the Fourier oracle with the largest amplitude it saw on any odd order (an
-    internal-consistency diagnostic; analytic engines report 0).
+    internal-consistency diagnostic; analytic engines report 0).  Patterns
+    compare and hash by identity: two patterns with equal values differ.
     """
 
     amplitudes: np.ndarray        # complex, orders -2h..2h
@@ -286,18 +287,11 @@ def _truncated_bessel(xi: float) -> tuple[np.ndarray, float]:
     a = abs(xi)
     n = int(math.ceil(a + 8.0 * a ** (1.0 / 3.0) + 12.0))
     row, tail = _bessel_row(a, n)
-    # assemble J_k(xi) for k = -n..n from the non-negative-argument row using
-    # J_{-k}(x) = (-1)^k J_k(x) and J_k(-x) = (-1)^k J_k(x)
+    # J_k(|xi|) for k = -n..n, using J_{-k}(x) = (-1)^k J_k(x); a negative
+    # argument's row is that row reversed, since J_k(-x) = J_{-k}(x)
     alt = np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
-    full = np.empty(2 * n + 1)
-    full[n] = row[0]
-    if xi > 0.0:
-        full[n + 1 :] = row[1:]
-        full[:n] = (alt * row[1:])[::-1]
-    else:
-        full[n + 1 :] = alt * row[1:]
-        full[:n] = row[1:][::-1]
-    return full, tail
+    full = np.concatenate(((alt * row[1:])[::-1], row))
+    return (full if xi > 0.0 else full[::-1]), tail
 
 
 def _times_i_powers(row: np.ndarray) -> np.ndarray:

@@ -153,7 +153,7 @@ class FitResult:
     iterations: int
     covariance_note: str
     degenerate: bool = False
-    param_sigma: tuple[float, ...] = ()
+    param_sigma: tuple[float | None, ...] = ()   # None where undefined
 
 
 # d amplitude(q) / d(theta0, thetaA2, thetaC4) from the amplitudes at
@@ -213,8 +213,12 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
             return None
 
     p = np.array(p0, dtype=float)
-    r, jac = residuals(p)
-    s = float(r @ r)
+    with np.errstate(over="ignore"):
+        r, jac = residuals(p)
+        s = float(r @ r)
+    if not math.isfinite(s):
+        raise ValueError("the weighted residual at the start is not finite "
+                         "(weights or intensities too large)")
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
@@ -255,15 +259,17 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
     return p, s, converged, iterations, jac.T @ jac
 
 
-def _sigmas(jtj: np.ndarray, residual: float, n_obs: int) -> tuple[float, ...]:
-    """First-order 1-sigma parameter errors from the normal matrix."""
+def _sigmas(jtj: np.ndarray, residual: float, n_obs: int) -> tuple[float | None, ...]:
+    """First-order 1-sigma parameter errors from the normal matrix; None
+    for each one that it leaves undefined (singular, or overflowing)."""
     # both fits need more rows than parameters, so dof >= 1
     s2 = residual / (n_obs - jtj.shape[0])
     try:
         cov = s2 * np.linalg.inv(jtj)
     except np.linalg.LinAlgError:
-        return tuple(float("inf") for _ in range(jtj.shape[0]))
-    return tuple(float(math.sqrt(max(v, 0.0))) for v in np.diag(cov))
+        return (None,) * jtj.shape[0]
+    return tuple(float(math.sqrt(max(v, 0.0))) if math.isfinite(v) else None
+                 for v in np.diag(cov))
 
 
 def _total_note(observed: ObservedPattern) -> str:
@@ -282,7 +288,10 @@ def fit_dipole(observed: ObservedPattern, theta0_init: float = 0.5) -> FitResult
     """Fit the single-phase cos^2 model I(2n) = J_n(theta0)^2.
 
     Needs at least two distinct observed orders.  The model is even in
-    theta0, so the result is reported with theta0 >= 0.
+    theta0, so the result is reported with theta0 >= 0.  As in
+    :func:`fit_quadrupole`, a normal-matrix condition number above 1e10
+    marks the fit degenerate: at theta0 = 0 no intensity moves, so the
+    matrix is zero and ``param_sigma`` is (None,).
     """
     if len(observed.rows) < 2:
         raise ValueError("need at least 2 distinct orders to fit theta0")
@@ -290,10 +299,14 @@ def fit_dipole(observed: ObservedPattern, theta0_init: float = 0.5) -> FitResult
         _dipole_model, np.array([float(theta0_init)]), observed
     )
     theta0 = abs(float(p[0]))
-    sigmas = _sigmas(jtj, s, len(observed.rows))
+    cond = float(np.linalg.cond(jtj))
+    degenerate = not math.isfinite(cond) or cond > DEGENERACY_CONDITION
+    sigma = _sigmas(jtj, s, len(observed.rows))[0]
     note = (
         "theta0 reported non-negative (intensities are even in theta0); "
-        f"1-sigma estimate {sigmas[0]:.3e} rad from the final normal matrix"
+        + (f"1-sigma estimate {sigma:.3e} rad from the final normal matrix"
+           if sigma is not None else "no 1-sigma estimate: the final normal matrix "
+           "cannot be inverted (it is zero at theta0 = 0)")
         + _total_note(observed)
     )
     return FitResult(
@@ -304,8 +317,8 @@ def fit_dipole(observed: ObservedPattern, theta0_init: float = 0.5) -> FitResult
         converged=converged,
         iterations=iterations,
         covariance_note=note,
-        degenerate=False,
-        param_sigma=(sigmas[0],),
+        degenerate=degenerate,
+        param_sigma=(sigma,),
     )
 
 
@@ -434,14 +447,15 @@ def equivalent_triples(
 
 @dataclass(frozen=True)
 class PolarizabilityEstimate:
-    """Polarizabilities implied by fitted phases for a known laser and tau."""
+    """Polarizabilities implied by fitted phases for a known laser and tau;
+    a sigma is None where the fit's sigma is."""
 
     alpha: float          # m^3
-    alpha_sigma: float
+    alpha_sigma: float | None
     A_dq: float           # units e^2 r0^3 / E_h
-    A_sigma: float
+    A_sigma: float | None
     C_qq: float           # units e^2 r0^4 / E_h
-    C_sigma: float
+    C_sigma: float | None
 
 
 def polarizability_estimates(
@@ -463,13 +477,16 @@ def polarizability_estimates(
     a_per_rad = 4.0 * HBAR / (tau * E2_GAUSS * R_BOHR**3 / HARTREE_NOMINAL * k_l * e0_sq)
     c_per_rad = 8.0 * HBAR / (tau * E2_GAUSS * R_BOHR**4 / HARTREE_NOMINAL * k_l**2 * e0_sq)
     sig = list(result.param_sigma) + [0.0, 0.0, 0.0]
+    alpha_s, a_s, c_s = (
+        None if s is None else k * s for k, s in zip((alpha_per_rad, a_per_rad, c_per_rad), sig)
+    )
     estimate = PolarizabilityEstimate(
         alpha=alpha_per_rad * result.theta0_hat,
-        alpha_sigma=alpha_per_rad * sig[0],
+        alpha_sigma=alpha_s,
         A_dq=a_per_rad * result.thetaA2_hat,
-        A_sigma=a_per_rad * sig[1],
+        A_sigma=a_s,
         C_qq=-c_per_rad * result.thetaC4_hat,
-        C_sigma=c_per_rad * sig[2],
+        C_sigma=c_s,
     )
     if not all(math.isfinite(v) for v in (estimate.alpha, estimate.A_dq, estimate.C_qq)):
         raise ValueError("the recovered polarizabilities are not finite for this laser")

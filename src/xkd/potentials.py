@@ -9,8 +9,8 @@ separate Fourier scale of the grating:
 
 All three survive averaging over an optical period because they go as
 ``cos^2(w t)``.  Permanent multipole couplings oscillate as ``cos(w t)``
-instead and average away; :func:`time_average` and
-:func:`multipole_magnitude` exist to demonstrate both facts numerically.
+instead and average away, however large they are while the field is on;
+:func:`time_average` demonstrates both facts numerically.
 
 The trigonometric expansion of the three spatial profiles gives five Fourier
 coefficients (a DC term plus harmonics at 2k and 4k); :class:`PotentialModel`
@@ -32,11 +32,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .constants import (
-    C,
     E2_GAUSS,
     HARTREE_NOMINAL,
     R_BOHR,
-    field_amplitude,
     field_amplitude_squared,
 )
 
@@ -105,23 +103,9 @@ class LaserGrating:
         return 2.0 * math.pi / self.wavelength
 
     @property
-    def omega_L(self) -> float:
-        """Optical angular frequency, rad/s."""
-        return 2.0 * math.pi * C / self.wavelength
-
-    @property
-    def optical_period(self) -> float:
-        """One field period 2 pi / omega_L, s."""
-        return self.wavelength / C
-
-    @property
     def E0_squared(self) -> float:
         """Gaussian-convention E0^2 as an energy density, J/m^3."""
         return field_amplitude_squared(self.intensity)
-
-    @property
-    def E0(self) -> float:
-        return field_amplitude(self.intensity)
 
 
 class FourierCoefficients(NamedTuple):
@@ -203,19 +187,17 @@ def build_potential(U0: float, UA: float, UC: float, k_L: float) -> PotentialMod
 
 
 def evaluate_potential(model: PotentialModel, X):
-    """Potential at position(s) X in metres, in J.  Accepts scalars or arrays."""
+    """Potential at position(s) X in metres, in J.  An array comes back as an
+    array; a scalar comes back as ``np.float64``, which is a ``float``."""
     f = model.fourier
     phase = 2.0 * model.k_L * np.asarray(X, dtype=float)
-    out = (
+    return (
         f.c_dc
         + f.c_cos2 * np.cos(phase)
         + f.c_sin2 * np.sin(phase)
         + f.c_sin4 * np.sin(2.0 * phase)
         + f.c_cos4 * np.cos(2.0 * phase)
     )
-    if np.isscalar(X) or getattr(X, "ndim", 0) == 0:
-        return float(out)
-    return out
 
 
 def time_average(integrand: Callable, samples_per_period: int = 4096) -> float:
@@ -233,20 +215,6 @@ def time_average(integrand: Callable, samples_per_period: int = 4096) -> float:
         raise ValueError(f"samples_per_period must be >= 16, got {samples_per_period}")
     phi = 2.0 * math.pi * np.arange(m) / m
     return float(np.mean([integrand(p) for p in phi]))
-
-
-def multipole_magnitude(order_n: int, laser: LaserGrating) -> float:
-    """Instantaneous scale e r0^n k_L^(n-1) E0 of the n-th permanent multipole, J.
-
-    For r0 k_L near one every order is comparable to e r0 E0, i.e. no
-    multipole is individually negligible while the field is on; they drop
-    out only because their cos(w t) time dependence averages to zero.
-    """
-    n = int(order_n)
-    if n < 2:
-        raise ValueError(f"order_n must be >= 2, got {order_n}")
-    e_gauss = math.sqrt(E2_GAUSS)
-    return e_gauss * R_BOHR**n * laser.k_L ** (n - 1) * laser.E0
 
 
 class CatalogError(ValueError):

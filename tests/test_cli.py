@@ -24,6 +24,13 @@ def write_json(path, doc):
     return str(path)
 
 
+def strict_json(text):
+    """``json.loads`` that refuses Infinity and NaN, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def dipole_config(tmp_path, theta0=1.0, tau=1e-12):
     # depth chosen so the imprinted phase is exactly -theta0 (attractive well)
     u0_ev = -theta0 * 2.0 * HBAR / (tau * EV)
@@ -271,6 +278,41 @@ class TestFit:
         assert "obs.csv" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("start, n_params", [
+        ({"theta0_init": 0}, 1),
+        ({"model": "quadrupole", "init": {"theta0": 0}}, 3),
+    ])
+    def test_stationary_start_writes_null_sigmas(self, tmp_path, start, n_params):
+        # at theta0 = 0 no intensity moves with any phase, so the normal
+        # matrix is zero: the fit is degenerate and no sigma is defined
+        cfg = write_json(tmp_path / "fit.json", {**_shipped("fit_dipole.json"), **start})
+        out = tmp_path / "fit_report.json"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 0
+        report = strict_json(out.read_text())
+        assert report["degenerate"] is True
+        assert report["param_sigma"] == [None] * n_params
+        sigmas = [report["polarizabilities"][key] for key in ("alpha_sigma", "A_sigma", "C_sigma")]
+        assert sigmas[:n_params] == [None] * n_params
+
+    def test_start_with_an_overflowing_residual_exits_one(self, tmp_path):
+        csv_path = tmp_path / "obs.csv"
+        csv_path.write_text("order,intensity,weight\n0,1e200,1e308\n2,1e200,1e308\n")
+        cfg = write_json(tmp_path / "fit.json",
+                         {"observations_csv": str(csv_path), "model": "dipole"})
+        out = tmp_path / "o.json"
+        # a subprocess, so a numpy warning would reach the stderr read here
+        proc = subprocess.run(
+            [sys.executable, "-m", "xkd", "fit", "--config", cfg, "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"xkd: {cfg}: keys 'observations_csv' give an unusable value: the weighted "
+            "residual at the start is not finite (weights or intensities too large)"
+        ]
+        assert not out.exists()
+
 
 class TestVerify:
     def test_default_seed_passes(self, tmp_path, capsys):
@@ -454,8 +496,11 @@ def _run_mutated(base, path, value):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_json(Path(tmp) / "cfg.json", doc)
         stderr = io.StringIO()
+        out = Path(tmp) / "out.json"
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([command, "--config", cfg, "--out", str(Path(tmp) / "out.json")])
+            code = cli.main([command, "--config", cfg, "--out", str(out)])
+        if out.exists():
+            strict_json(out.read_text())
     return code, stderr.getvalue(), [step for step in path if isinstance(step, str)]
 
 
@@ -470,7 +515,7 @@ def _pinned(test):
 @_pinned
 def test_mutated_config_keeps_the_exit_contract(case):
     code, err, keys = _run_mutated(*case)
-    assert code in (0, 1, 2, 3)
+    assert code in (0, 1, 2)
     if code == 1:
         assert any(f"'{key}'" in err for key in keys), err
     if case[2] is MISSPELL and isinstance(case[1][-1], str):

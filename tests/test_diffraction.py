@@ -398,6 +398,11 @@ class TestPatternType:
                 assert np.array_equal(p.orders, 2 * np.arange(-h, h + 1))
                 assert p.truncation_order == p.orders[-1]
 
+    def test_patterns_compare_and_hash_by_identity(self):
+        p = dipole_pattern(0.5)
+        assert p == p and p != dipole_pattern(0.5)
+        assert hash(p) == hash(p) and {p: 1}[p] == 1
+
     def test_intensity_is_exact_square(self):
         p = quadrupole_pattern(PhaseSet(1.1, 0.4, 0.2, -0.6))
         for amp, intens in zip(p.amplitudes, p.intensities):

@@ -191,6 +191,22 @@ class TestFitDipole:
         assert result.theta0_hat == 0.0
         assert result.converged
 
+    def test_stationary_start_is_degenerate_with_no_sigma(self):
+        # every intensity is even in theta0, so at 0 the normal matrix is 0
+        obs = observed_from_pattern(dipole_pattern(1.0))
+        stuck = fit_dipole(obs, theta0_init=0.0)
+        assert stuck.degenerate and stuck.param_sigma == (None,)
+        assert "no 1-sigma estimate" in stuck.covariance_note
+        laser = LaserGrating(5e-10, 1.9e14, 1e-12, 1e-6)
+        assert polarizability_estimates(stuck, laser, 1e-12).alpha_sigma is None
+        moving = fit_dipole(obs, theta0_init=0.5)
+        assert not moving.degenerate and math.isfinite(moving.param_sigma[0])
+
+    def test_sigma_that_overflows_is_none(self):
+        # subnormal weights: the inverse of the 1x1 normal matrix is inf
+        obs = ObservedPattern(rows=((0, 0.5, 1e-310), (2, 0.25, 1e-310), (-2, 0.2, 1e-310)))
+        assert fit_dipole(obs, 0.5).param_sigma == (None,)
+
     def test_sign_convention(self):
         # data generated at negative phase fits to the non-negative alias
         obs = observed_from_pattern(dipole_pattern(-0.9))

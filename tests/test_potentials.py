@@ -15,7 +15,6 @@ from xkd.potentials import (
     evaluate_potential,
     lightshift_depth,
     load_catalog,
-    multipole_magnitude,
     quadrupole_scales,
     time_average,
 )
@@ -195,30 +194,6 @@ class TestTimeAverage:
         assert abs(time_average(lambda p: math.cos(p) ** 2, 16) - 0.5) < 1e-12
 
 
-class TestMultipoleMagnitude:
-    def test_order_ratio_is_r0_k(self):
-        laser = make_laser()
-        ratio = multipole_magnitude(3, laser) / multipole_magnitude(2, laser)
-        assert ratio == pytest.approx(R_BOHR * laser.k_L, rel=1e-12)
-
-    def test_zero_field(self):
-        assert multipole_magnitude(2, make_laser(intensity=0.0)) == 0.0
-
-    def test_quadrupole_scale_vs_er0E0(self):
-        # at atom-scale wavelengths r0 k_L ~ 1, so the quadrupole term is a
-        # sizeable fraction of e r0 E0 before the time average removes it
-        laser = make_laser(wavelength=5e-10)
-        e_r0_e0 = multipole_magnitude(2, laser) / (R_BOHR * laser.k_L)
-        assert multipole_magnitude(2, laser) == pytest.approx(
-            e_r0_e0 * (R_BOHR * laser.k_L), rel=1e-12
-        )
-        assert 0.1 < multipole_magnitude(2, laser) / e_r0_e0 < 1.0
-
-    def test_rejects_low_order(self):
-        with pytest.raises(ValueError):
-            multipole_magnitude(1, make_laser())
-
-
 class TestValidation:
     def test_atom_invariants(self):
         with pytest.raises(ValueError):
@@ -240,15 +215,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_laser(intensity=-1.0)
         # zero intensity is the legitimate no-grating case
-        assert make_laser(intensity=0.0).E0 == 0.0
+        assert make_laser(intensity=0.0).E0_squared == 0.0
 
     def test_laser_derived_quantities(self):
         laser = make_laser(wavelength=5e-10)
         assert laser.k_L == pytest.approx(2 * math.pi / 5e-10, rel=1e-15)
-        assert laser.omega_L == pytest.approx(laser.k_L * 299792458.0, rel=1e-15)
-        assert laser.optical_period == pytest.approx(
-            2 * math.pi / laser.omega_L, rel=1e-15
-        )
 
 
 class TestCatalog:
