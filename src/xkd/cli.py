@@ -255,7 +255,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 _need(init, key, f"{where}: key 'init'", default=value)
                 for key, value in (("theta0", 0.5), ("thetaA2", 0.0), ("thetaC4", 0.0))
             )
-            start = diffraction.PhaseSet(theta0, theta_a2, 0.5 * theta_a2, theta_c4)
+            start = diffraction.PhaseSet(theta0, theta_a2, thetaC4=theta_c4)
             result = fitting.fit_quadrupole(observed, start)
 
     payload = dataclasses.asdict(result)

@@ -166,42 +166,45 @@ def bessel_J(n: int, x: float) -> float:
 class PhaseSet:
     """Arguments of the four Bessel expansions, all in radians.
 
-    theta0 drives the 2k_L cosine harmonic, thetaA2/thetaA4 the 2k_L/4k_L
-    sine harmonics of a single UA (so thetaA4 = thetaA2/2 whenever both come
-    from one potential), and thetaC4 the 4k_L cosine harmonic.  The order-
-    independent prefactor (U0/2 + UC/8) tau / hbar equals theta0 - thetaC4
-    and is stored separately as ``global_phase``.
+    theta0 drives the 2k_L cosine harmonic, thetaA2 the 2k_L sine harmonic
+    and thetaC4 the 4k_L cosine harmonic.  UA cos^3(kX) sin(kX) drives both
+    sine harmonics (UA/4 and UA/8), so thetaA4 = thetaA2/2 is derived; a
+    ``thetaA4`` argument must equal it.  The order-independent prefactor
+    (U0/2 + UC/8) tau / hbar equals theta0 - thetaC4 and is stored
+    separately as ``global_phase``.
     """
 
     theta0: float
     thetaA2: float = 0.0
-    thetaA4: float = 0.0
+    thetaA4: float | None = None
     thetaC4: float = 0.0
     global_phase: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "global_phase", self.theta0 - self.thetaC4)
-        for name in ("theta0", "thetaA2", "thetaA4", "thetaC4", "global_phase"):
+        for name in ("theta0", "thetaA2", "thetaC4"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        theta_a4 = 0.5 * self.thetaA2
+        if self.thetaA4 is not None and self.thetaA4 != theta_a4:
+            raise ValueError(f"thetaA4 must be thetaA2/2 = {theta_a4!r}, got {self.thetaA4!r}")
+        object.__setattr__(self, "thetaA4", theta_a4)
+        object.__setattr__(self, "global_phase", self.theta0 - self.thetaC4)
+        if not math.isfinite(self.global_phase):
+            raise ValueError("global_phase must be finite")
 
 
 def phases_from_potential(model: PotentialModel, tau: float) -> PhaseSet:
     """Imprinted phases for interaction time tau (s).
 
     theta0 = U0 tau / 2 hbar, thetaA2 = UA tau / 4 hbar,
-    thetaA4 = thetaA2 / 2, thetaC4 = -UC tau / 8 hbar.
+    thetaC4 = -UC tau / 8 hbar; the PhaseSet derives thetaA4.
     """
     if not tau > 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    theta0 = model.U0 * tau / (2.0 * HBAR)
-    theta_a2 = model.UA * tau / (4.0 * HBAR)
-    theta_c4 = -model.UC * tau / (8.0 * HBAR)
     return PhaseSet(
-        theta0=theta0,
-        thetaA2=theta_a2,
-        thetaA4=0.5 * theta_a2,
-        thetaC4=theta_c4,
+        theta0=model.U0 * tau / (2.0 * HBAR),
+        thetaA2=model.UA * tau / (4.0 * HBAR),
+        thetaC4=-model.UC * tau / (8.0 * HBAR),
     )
 
 
@@ -366,15 +369,16 @@ def quadrupole_pattern(phases: PhaseSet, tolerance: float = 1e-10) -> Diffractio
     """Diffraction orders with the induced-quadrupole harmonics included.
 
     The exit wave is the product of four Jacobi-Anger combs (harmonics at
-    2k_L from theta0 and thetaA2, at 4k_L from thetaA4 and thetaC4); the
-    per-order amplitude is their discrete convolution, carried out in units
-    of half-orders so the 4k_L rows land on even lattice sites.  With all
-    quadrupole phases zero the result reproduces :func:`dipole_pattern`
-    exactly, convolution against the single-entry identity row being
-    transparent.  ``truncation_residual`` is (sum_i sqrt t_i)^2 over the
-    tails t_i the four rows discard.  Each comb is a unit-modulus factor of
-    the exit wave, so swapping them one at a time for their truncations
-    telescopes: to leading order this bounds sum_q |A(q) - A_exact(q)|^2.
+    2k_L from theta0 and thetaA2, at 4k_L from the derived thetaA4 and
+    thetaC4); the per-order amplitude is their discrete convolution, carried
+    out in units of half-orders so the 4k_L rows land on even lattice sites.
+    With all quadrupole phases zero the result reproduces
+    :func:`dipole_pattern` exactly, convolution against the single-entry
+    identity row being transparent.  ``truncation_residual`` is
+    (sum_i sqrt t_i)^2 over the tails t_i the four rows discard.  Each comb
+    is a unit-modulus factor of the exit wave, so swapping them one at a
+    time for their truncations telescopes: to leading order this bounds
+    sum_q |A(q) - A_exact(q)|^2.
     TruncationError is raised unless it is below ``tolerance``.
 
     Long rows (phases from a few tens of radians up) are combined in one FFT

@@ -158,7 +158,7 @@ class FitResult:
 
 # d amplitude(q) / d(theta0, thetaA2, thetaC4) from the amplitudes at
 # q + _SHIFTS: the exit wave's derivatives multiply it by i cos u,
-# i (sin u + sin 2u / 2) (thetaA4 = thetaA2/2 is tied) and i cos 2u
+# i (sin u + sin 2u / 2) (PhaseSet derives thetaA4 from thetaA2) and i cos 2u
 _SHIFTS = np.array([-4, -2, 0, 2, 4])
 _SHIFT_COEFFS = np.array([
     [0.0, 0.5j, 0.0, 0.5j, 0.0],
@@ -184,7 +184,7 @@ def _dipole_model(params: np.ndarray, orders: np.ndarray):
 def _quad_model(params: np.ndarray, orders: np.ndarray):
     """Intensities and their (n, 3) Jacobian by (theta0, thetaA2, thetaC4)."""
     theta0, theta_a2, theta_c4 = (float(v) for v in params)
-    pattern = diffraction.quadrupole_pattern(PhaseSet(theta0, theta_a2, 0.5 * theta_a2, theta_c4))
+    pattern = diffraction.quadrupole_pattern(PhaseSet(theta0, theta_a2, thetaC4=theta_c4))
     return _with_jacobian(pattern, orders, 3)
 
 
@@ -192,8 +192,9 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
     """Damped Gauss-Newton core shared by both fits.
 
     ``model(p, orders)`` returns the intensities and their Jacobian.
-    Returns (params, residual, converged, iterations, normal_matrix), the
-    normal matrix taken at the returned params.
+    Returns (params, residual, converged, iterations, cond, degenerate,
+    sigmas), the last three from the normal matrix at the returned params.
+    An exactly zero Jacobian stops the fit, converged only at residual 0.
     """
     orders = observed.orders
     y = observed.intensities
@@ -222,6 +223,9 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
+        if not jac.any():
+            converged = s == 0.0
+            break
         jtj = jac.T @ jac
         rhs = -jac.T @ r
         try:
@@ -256,20 +260,18 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
         if ds <= RESIDUAL_TOLERANCE * max(s, 1e-300):
             converged = True
             break
-    return p, s, converged, iterations, jac.T @ jac
-
-
-def _sigmas(jtj: np.ndarray, residual: float, n_obs: int) -> tuple[float | None, ...]:
-    """First-order 1-sigma parameter errors from the normal matrix; None
-    for each one that it leaves undefined (singular, or overflowing)."""
-    # both fits need more rows than parameters, so dof >= 1
-    s2 = residual / (n_obs - jtj.shape[0])
+    jtj = jac.T @ jac
+    cond = float(np.linalg.cond(jtj))
+    degenerate = not math.isfinite(cond) or cond > DEGENERACY_CONDITION
+    # first-order 1-sigma errors, None where the normal matrix leaves one
+    # undefined (singular, or overflowing); both fits have dof >= 1
     try:
-        cov = s2 * np.linalg.inv(jtj)
+        variances = np.diag(s / (len(orders) - len(p)) * np.linalg.inv(jtj))
     except np.linalg.LinAlgError:
-        return (None,) * jtj.shape[0]
-    return tuple(float(math.sqrt(max(v, 0.0))) if math.isfinite(v) else None
-                 for v in np.diag(cov))
+        variances = [math.nan] * len(p)
+    sigmas = tuple(float(math.sqrt(max(v, 0.0))) if math.isfinite(v) else None
+                   for v in variances)
+    return p, s, converged, iterations, cond, degenerate, sigmas
 
 
 def _total_note(observed: ObservedPattern) -> str:
@@ -291,17 +293,14 @@ def fit_dipole(observed: ObservedPattern, theta0_init: float = 0.5) -> FitResult
     theta0, so the result is reported with theta0 >= 0.  As in
     :func:`fit_quadrupole`, a normal-matrix condition number above 1e10
     marks the fit degenerate: at theta0 = 0 no intensity moves, so the
-    matrix is zero and ``param_sigma`` is (None,).
+    matrix is zero, ``param_sigma`` is (None,) and the fit stops there.
     """
     if len(observed.rows) < 2:
         raise ValueError("need at least 2 distinct orders to fit theta0")
-    p, s, converged, iterations, jtj = _gauss_newton(
+    p, s, converged, iterations, _, degenerate, (sigma,) = _gauss_newton(
         _dipole_model, np.array([float(theta0_init)]), observed
     )
     theta0 = abs(float(p[0]))
-    cond = float(np.linalg.cond(jtj))
-    degenerate = not math.isfinite(cond) or cond > DEGENERACY_CONDITION
-    sigma = _sigmas(jtj, s, len(observed.rows))[0]
     note = (
         "theta0 reported non-negative (intensities are even in theta0); "
         + (f"1-sigma estimate {sigma:.3e} rad from the final normal matrix"
@@ -323,7 +322,7 @@ def fit_dipole(observed: ObservedPattern, theta0_init: float = 0.5) -> FitResult
 
 
 def fit_quadrupole(observed: ObservedPattern, init: PhaseSet) -> FitResult:
-    """Fit (theta0, thetaA2, thetaC4) with the 4k sine phase tied to thetaA2/2.
+    """Fit (theta0, thetaA2, thetaC4); PhaseSet derives the 4k sine phase.
 
     Needs at least four distinct orders including a +-q pair: the +-q
     asymmetry is the only carrier of the thetaA2 sign.  A normal-matrix
@@ -337,16 +336,15 @@ def fit_quadrupole(observed: ObservedPattern, init: PhaseSet) -> FitResult:
         raise ValueError("need at least one +q/-q order pair to expose the asymmetry")
 
     p0 = np.array([init.theta0, init.thetaA2, init.thetaC4], dtype=float)
-    p, s, converged, iterations, jtj = _gauss_newton(_quad_model, p0, observed)
+    p, s, converged, iterations, cond, degenerate, sigmas = _gauss_newton(
+        _quad_model, p0, observed
+    )
 
     theta0, theta_a2, theta_c4 = (float(v) for v in p)
     if theta0 < 0:
         # joint flip is an exact symmetry of all intensities
         theta0, theta_c4 = -theta0, -theta_c4
 
-    cond = float(np.linalg.cond(jtj))
-    degenerate = not math.isfinite(cond) or cond > DEGENERACY_CONDITION
-    sigmas = _sigmas(jtj, s, len(observed.rows))
     note = (
         f"normal-matrix condition number {cond:.3e}"
         + (
@@ -398,25 +396,22 @@ def equivalent_triples(
     every earlier one and its pattern matches within ``MATCH_TOLERANCE`` per order.
     The input triple always comes first.
     """
-    def pattern_of(t: tuple[float, float, float]) -> diffraction.DiffractionPattern:
-        return diffraction.quadrupole_pattern(PhaseSet(t[0], t[1], 0.5 * t[1], t[2]))
-
-    base = pattern_of((theta0, thetaA2, thetaC4))
+    phases = PhaseSet(theta0, thetaA2, thetaC4=thetaC4)
+    base = diffraction.quadrupole_pattern(phases)
     r2 = math.hypot(theta0, thetaA2)
-    r4 = math.hypot(0.5 * thetaA2, thetaC4)
-    found: list[tuple[float, float, float]] = []
+    r4 = math.hypot(phases.thetaA4, thetaC4)
+    found = [(theta0, thetaA2, thetaC4)]
 
     def consider(candidate: tuple[float, float, float]):
         if any(max(abs(a - b) for a, b in zip(candidate, known)) < 1e-9 for known in found):
             return
-        pattern = pattern_of(candidate)
+        pattern = diffraction.quadrupole_pattern(PhaseSet(*candidate[:2], thetaC4=candidate[2]))
         qs = np.union1d(base.orders, pattern.orders)
         if np.max(np.abs(base.intensities_at(qs) - pattern.intensities_at(qs))) <= MATCH_TOLERANCE:
             found.append(candidate)
 
-    consider((theta0, thetaA2, thetaC4))
     phi2 = math.atan2(thetaA2, theta0)
-    phi4 = math.atan2(0.5 * thetaA2, thetaC4)
+    phi4 = math.atan2(phases.thetaA4, thetaC4)
     delta = phi4 - 2.0 * phi2
     step = 2.0 * math.pi / 8192
     grid = np.linspace(-math.pi, math.pi + 3 * step, 8196)
@@ -465,7 +460,8 @@ def polarizability_estimates(
 
     |U0| = 2 hbar theta0 / tau with U0 = -alpha E0^2/4;
     UA = 4 hbar thetaA2 / tau; UC = -8 hbar thetaC4 / tau.  Uncertainties
-    are first-order propagation of the per-parameter sigmas.
+    propagate the fit's sigmas to first order (a dipole fit has none for
+    A_dq and C_qq, so those are None).
     """
     if not tau > 0:
         raise ValueError(f"tau must be > 0, got {tau}")
@@ -476,7 +472,7 @@ def polarizability_estimates(
     alpha_per_rad = 8.0 * HBAR / (tau * e0_sq)
     a_per_rad = 4.0 * HBAR / (tau * E2_GAUSS * R_BOHR**3 / HARTREE_NOMINAL * k_l * e0_sq)
     c_per_rad = 8.0 * HBAR / (tau * E2_GAUSS * R_BOHR**4 / HARTREE_NOMINAL * k_l**2 * e0_sq)
-    sig = list(result.param_sigma) + [0.0, 0.0, 0.0]
+    sig = list(result.param_sigma) + [None, None, None]
     alpha_s, a_s, c_s = (
         None if s is None else k * s for k, s in zip((alpha_per_rad, a_per_rad, c_per_rad), sig)
     )
@@ -485,7 +481,7 @@ def polarizability_estimates(
         alpha_sigma=alpha_s,
         A_dq=a_per_rad * result.thetaA2_hat,
         A_sigma=a_s,
-        C_qq=-c_per_rad * result.thetaC4_hat,
+        C_qq=0.0 - c_per_rad * result.thetaC4_hat,  # 0.0, not -0.0, at thetaC4 = 0
         C_sigma=c_s,
     )
     if not all(math.isfinite(v) for v in (estimate.alpha, estimate.A_dq, estimate.C_qq)):

@@ -116,14 +116,13 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
             float(rng.uniform(-1.0, 1.0)),
         )
         pattern = diffraction.quadrupole_pattern(
-            PhaseSet(truth[0], truth[1], 0.5 * truth[1], truth[2])
+            PhaseSet(truth[0], truth[1], thetaC4=truth[2])
         )
         observed = ObservedPattern.from_arrays(pattern.orders, pattern.intensities)
         init = PhaseSet(
             truth[0] * 1.02 + 0.01,
             truth[1] * 0.98 + 0.01,
-            (truth[1] * 0.98 + 0.01) / 2.0,
-            truth[2] * 1.02 - 0.01,
+            thetaC4=truth[2] * 1.02 - 0.01,
         )
         result = fit_quadrupole(observed, init)
         hat = (result.theta0_hat, result.thetaA2_hat, result.thetaC4_hat)

@@ -181,15 +181,12 @@ def test_criterion_7_fit_round_trip():
             float(rng.uniform(-2.0, 2.0)),
             float(rng.uniform(-2.0, 2.0)),
         )
-        pattern = quadrupole_pattern(
-            PhaseSet(truth[0], truth[1], 0.5 * truth[1], truth[2])
-        )
+        pattern = quadrupole_pattern(PhaseSet(truth[0], truth[1], thetaC4=truth[2]))
         observed = fitting.ObservedPattern.from_arrays(
             pattern.orders, pattern.intensities
         )
-        init_a2 = truth[1] * 0.97 + 0.02
         init = PhaseSet(
-            truth[0] * 1.03 + 0.02, init_a2, 0.5 * init_a2, truth[2] * 1.03 - 0.02
+            truth[0] * 1.03 + 0.02, truth[1] * 0.97 + 0.02, thetaC4=truth[2] * 1.03 - 0.02
         )
         result = fitting.fit_quadrupole(observed, init)
         hat = (result.theta0_hat, result.thetaA2_hat, result.thetaC4_hat)
@@ -205,7 +202,7 @@ def test_criterion_7_fit_round_trip():
         fitting.ObservedPattern.from_arrays(
             dipole_pattern(0.9).orders, dipole_pattern(0.9).intensities
         ),
-        PhaseSet(0.8, 0.05, 0.025, 0.02),
+        PhaseSet(0.8, 0.05, thetaC4=0.02),
     )
     assert abs(nested.thetaA2_hat) < 1e-6
     assert abs(nested.thetaC4_hat) < 1e-6

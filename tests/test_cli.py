@@ -284,15 +284,17 @@ class TestFit:
     ])
     def test_stationary_start_writes_null_sigmas(self, tmp_path, start, n_params):
         # at theta0 = 0 no intensity moves with any phase, so the normal
-        # matrix is zero: the fit is degenerate and no sigma is defined
+        # matrix is zero: the fit is stuck at a nonzero residual, so it is
+        # not converged (exit 2), degenerate, and no sigma is defined
         cfg = write_json(tmp_path / "fit.json", {**_shipped("fit_dipole.json"), **start})
         out = tmp_path / "fit_report.json"
-        assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 0
+        assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 2
         report = strict_json(out.read_text())
+        assert report["converged"] is False and report["residual"] > 0.0
         assert report["degenerate"] is True
         assert report["param_sigma"] == [None] * n_params
         sigmas = [report["polarizabilities"][key] for key in ("alpha_sigma", "A_sigma", "C_sigma")]
-        assert sigmas[:n_params] == [None] * n_params
+        assert sigmas == [None] * 3
 
     def test_start_with_an_overflowing_residual_exits_one(self, tmp_path):
         csv_path = tmp_path / "obs.csv"

@@ -59,16 +59,29 @@ class TestPhaseSet:
         assert ph.theta0 == pytest.approx(-0.5, rel=1e-12)
 
     def test_global_phase_identity(self):
-        ph = PhaseSet(0.7, 0.2, 0.1, -0.3)
+        ph = PhaseSet(0.7, 0.2, thetaC4=-0.3)
         assert ph.global_phase == pytest.approx(0.7 - (-0.3), rel=1e-15)
+
+    def test_thetaA4_is_derived_from_thetaA2(self):
+        ph = PhaseSet(0.7, 0.3, thetaC4=-0.2)
+        assert ph.thetaA4 == 0.15
+        # the positional thetaA4 is accepted only when it equals thetaA2/2
+        assert PhaseSet(0.7, 0.3, 0.15, -0.2) == ph
+        for bad in (0.3, 0.0, -0.15, float("nan")):
+            with pytest.raises(ValueError, match="thetaA4"):
+                PhaseSet(0.7, 0.3, bad, -0.2)
 
     def test_rejects_bad_tau(self):
         with pytest.raises(ValueError):
             phases_from_potential(model_from_phases(1.0), 0.0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="theta0 must be finite"):
             PhaseSet(float("nan"))
+        with pytest.raises(ValueError, match="thetaC4 must be finite"):
+            PhaseSet(0.5, 0.2, thetaC4=float("inf"))
+        with pytest.raises(ValueError, match="global_phase must be finite"):
+            PhaseSet(1e308, thetaC4=-1e308)
 
 
 class TestDipolePattern:
@@ -174,13 +187,13 @@ class TestQuadrupolePattern:
         assert analytic.intensity(2) != pytest.approx(analytic.intensity(-2), rel=1e-3)
 
     def test_unitarity_full_model(self):
-        p = quadrupole_pattern(PhaseSet(2.0, 1.5, 0.75, -1.0), tolerance=1e-10)
+        p = quadrupole_pattern(PhaseSet(2.0, 1.5, thetaC4=-1.0), tolerance=1e-10)
         total = float(np.sum(p.intensities))
         assert 1.0 - 1e-10 <= total <= 1.0 + 1e-12
         assert p.truncation_residual <= 1e-10
 
     def test_only_even_orders(self):
-        p = quadrupole_pattern(PhaseSet(1.0, 0.5, 0.25, -0.2))
+        p = quadrupole_pattern(PhaseSet(1.0, 0.5, thetaC4=-0.2))
         assert np.all(p.orders % 2 == 0)
 
     def test_tolerance_domain(self):
@@ -190,7 +203,7 @@ class TestQuadrupolePattern:
 
     def test_truncation_failure_on_absurd_phase(self):
         with pytest.raises(TruncationError):
-            quadrupole_pattern(PhaseSet(0.5, 1e7, 5e6, 0.0))
+            quadrupole_pattern(PhaseSet(0.5, 1e7))
 
     def test_truncation_failure_builds_the_rows_once(self, monkeypatch):
         # the theta0 row discards 7.9e-25, above 1e-30: each of the four rows
@@ -211,7 +224,9 @@ class TestQuadrupolePattern:
         # (sum_i sqrt t_i)^2 over the four rows' discarded tails
         rng = np.random.default_rng(5)
         for _ in range(40):
-            phases = PhaseSet(*(float(v) for v in rng.uniform(-2.0, 2.0, 4) ** 5 * 300.0))
+            # three free phases; the PhaseSet derives thetaA4
+            t0, a2, c4 = (float(v) for v in rng.uniform(-2.0, 2.0, 3) ** 5 * 300.0)
+            phases = PhaseSet(t0, a2, thetaC4=c4)
             p = quadrupole_pattern(phases)
             tails = [
                 diffraction._truncated_bessel(xi)[1]
@@ -250,8 +265,8 @@ class TestConvolutionPaths:
     # (below, above): one pair straddles the 2e5 multiply-add floor, the
     # other the 10 m log2 m estimate of the FFT's cost
     STRADDLES = [
-        (PhaseSet(37.0, 37.0, 18.5, -18.5), PhaseSet(38.0, 38.0, 19.0, -19.0)),
-        (PhaseSet(500.0, 0.5, 0.25, -0.25), PhaseSet(510.0, 0.51, 0.255, -0.255)),
+        (PhaseSet(37.0, 37.0, thetaC4=-18.5), PhaseSet(38.0, 38.0, thetaC4=-19.0)),
+        (PhaseSet(500.0, 0.5, thetaC4=-0.25), PhaseSet(510.0, 0.51, thetaC4=-0.255)),
     ]
 
     @pytest.mark.parametrize("below, above", STRADDLES)
@@ -268,14 +283,14 @@ class TestConvolutionPaths:
 
     def test_phases_up_to_20_rad_take_the_direct_path(self, monkeypatch):
         # row lengths depend on |phase| only, so one sign covers both
-        _, chosen = pattern_on_path(monkeypatch, PhaseSet(20.0, 20.0, 20.0, 20.0), fft=False)
+        _, chosen = pattern_on_path(monkeypatch, PhaseSet(20.0, 20.0, thetaC4=20.0), fft=False)
         assert chosen is False
 
     def test_underflowed_row_leaves_only_sub_floor_noise(self, monkeypatch):
         # J_n(1e-30) underflows to exact zeros past n ~ 10, so the direct path
         # trims the outermost orders; the FFT path keeps them as rounding
         # noise, and every such extra order must stay below 1e-15
-        phases = PhaseSet(2000.0, 0.0, 0.0, 1e-30)
+        phases = PhaseSet(2000.0, thetaC4=1e-30)
         direct, _ = pattern_on_path(monkeypatch, phases, fft=False)
         fft, _ = pattern_on_path(monkeypatch, phases, fft=True)
         assert len(fft.orders) > len(direct.orders)
@@ -299,7 +314,7 @@ class TestConvolutionPaths:
         assert np.max(np.abs(padded(pattern, half) - padded(oracle, half))) <= 1e-9
         assert abs(1.0 - float(np.sum(pattern.intensities))) <= 1e-10
         with pytest.raises(xkd.TruncationError):
-            quadrupole_pattern(PhaseSet(1e4, -1e4, -5e3, 1.0001e4))
+            quadrupole_pattern(PhaseSet(1e4, -1e4, thetaC4=1.0001e4))
 
 
 class TestOracle:
@@ -404,7 +419,7 @@ class TestPatternType:
         assert hash(p) == hash(p) and {p: 1}[p] == 1
 
     def test_intensity_is_exact_square(self):
-        p = quadrupole_pattern(PhaseSet(1.1, 0.4, 0.2, -0.6))
+        p = quadrupole_pattern(PhaseSet(1.1, 0.4, thetaC4=-0.6))
         for amp, intens in zip(p.amplitudes, p.intensities):
             assert intens == amp.real**2 + amp.imag**2
 
@@ -423,7 +438,7 @@ class TestPatternType:
         assert p.intensity(10**6) == 0.0
 
     def test_vector_lookup_matches_the_scalar_one(self):
-        p = quadrupole_pattern(PhaseSet(1.1, 0.4, 0.2, -0.6))
+        p = quadrupole_pattern(PhaseSet(1.1, 0.4, thetaC4=-0.6))
         lo, hi = int(p.orders[0]), int(p.orders[-1])
         qs = [lo - 4, lo - 2, lo, lo + 2, -2, 0, 2, 3, hi - 2, hi, hi + 2, hi + 4,
               -10**6, 10**6]
@@ -455,7 +470,7 @@ class TestCsvAndDict:
         assert float(row.split(",")[3]) == pytest.approx(0.585527499513664, rel=1e-13)
 
     def test_row_count_and_sorting(self):
-        p = quadrupole_pattern(PhaseSet(0.9, 0.3, 0.15, -0.1))
+        p = quadrupole_pattern(PhaseSet(0.9, 0.3, thetaC4=-0.1))
         lines = intensities_csv(p).strip().splitlines()
         assert len(lines) == len(p.orders) + 1
         orders = [int(line.split(",")[0]) for line in lines[1:]]

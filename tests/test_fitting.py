@@ -27,10 +27,6 @@ def observed_from_pattern(pattern, weights=None):
     return ObservedPattern.from_arrays(pattern.orders, pattern.intensities, weights)
 
 
-def tied(theta0, theta_a2=0.0, theta_c4=0.0):
-    return PhaseSet(theta0, theta_a2, 0.5 * theta_a2, theta_c4)
-
-
 def assert_same_members(got, expected, tol):
     """Equal sets of triples, member for member within ``tol``."""
     assert len(got) == len(expected), (got, expected)
@@ -41,7 +37,7 @@ def assert_same_members(got, expected, tol):
 def scan_equivalent_triples(theta0, thetaA2, thetaC4, match_tol=1e-12):
     """Reference: the tied triples found by scanning g for sign changes on an
     8196-point grid and bisecting each bracket 80 times (no closed form)."""
-    base = quadrupole_pattern(tied(theta0, thetaA2, thetaC4))
+    base = quadrupole_pattern(PhaseSet(theta0, thetaA2, thetaC4=thetaC4))
     r2, r4 = math.hypot(theta0, thetaA2), math.hypot(0.5 * thetaA2, thetaC4)
     delta = math.atan2(0.5 * thetaA2, thetaC4) - 2.0 * math.atan2(thetaA2, theta0)
     found = []
@@ -49,7 +45,7 @@ def scan_equivalent_triples(theta0, thetaA2, thetaC4, match_tol=1e-12):
     def consider(cand):
         if any(max(abs(a - b) for a, b in zip(cand, k)) < 1e-9 for k in found):
             return
-        pattern = quadrupole_pattern(tied(*cand))
+        pattern = quadrupole_pattern(PhaseSet(*cand[:2], thetaC4=cand[2]))
         qs = set(map(int, base.orders)) | set(map(int, pattern.orders))
         if max(abs(base.intensity(q) - pattern.intensity(q)) for q in qs) <= match_tol:
             found.append(cand)
@@ -137,15 +133,16 @@ class TestObservedPattern:
         assert "sum to 1.2," in fit_dipole(obs, 0.5).covariance_note
 
     def test_quadrupole_fit_notes_overweight_total(self):
-        pattern = quadrupole_pattern(tied(0.8, 0.2, -0.05))
+        pattern = quadrupole_pattern(PhaseSet(0.8, 0.2, thetaC4=-0.05))
         obs = ObservedPattern.from_arrays(pattern.orders, 1.05 * pattern.intensities)
-        result = fit_quadrupole(obs, tied(0.7, 0.25, -0.02))
+        result = fit_quadrupole(obs, PhaseSet(0.7, 0.25, thetaC4=-0.02))
         assert f"sum to {sum(obs.intensities):.10g}," in result.covariance_note
 
     def test_total_within_one_is_not_noted(self):
         obs = observed_from_pattern(dipole_pattern(1.0))
         assert "sum to" not in fit_dipole(obs, 0.5).covariance_note
-        assert "sum to" not in fit_quadrupole(obs, tied(0.9, 0.05, 0.02)).covariance_note
+        start = PhaseSet(0.9, 0.05, thetaC4=0.02)
+        assert "sum to" not in fit_quadrupole(obs, start).covariance_note
 
     def test_rejects_non_finite_intensity_and_weight(self):
         for bad in (math.inf, math.nan):
@@ -195,6 +192,7 @@ class TestFitDipole:
         # every intensity is even in theta0, so at 0 the normal matrix is 0
         obs = observed_from_pattern(dipole_pattern(1.0))
         stuck = fit_dipole(obs, theta0_init=0.0)
+        assert not stuck.converged and stuck.iterations == 1 and stuck.theta0_hat == 0.0
         assert stuck.degenerate and stuck.param_sigma == (None,)
         assert "no 1-sigma estimate" in stuck.covariance_note
         laser = LaserGrating(5e-10, 1.9e14, 1e-12, 1e-6)
@@ -238,8 +236,8 @@ class TestFitDipole:
 class TestFitQuadrupole:
     def test_reference_round_trip(self):
         truth = (0.8, 0.2, -0.05)
-        obs = observed_from_pattern(quadrupole_pattern(tied(*truth)))
-        result = fit_quadrupole(obs, tied(0.7, 0.25, -0.02))
+        obs = observed_from_pattern(quadrupole_pattern(PhaseSet(*truth[:2], thetaC4=truth[2])))
+        result = fit_quadrupole(obs, PhaseSet(0.7, 0.25, thetaC4=-0.02))
         assert result.converged
         assert result.theta0_hat == pytest.approx(truth[0], abs=1e-6)
         assert result.thetaA2_hat == pytest.approx(truth[1], abs=1e-6)
@@ -247,7 +245,7 @@ class TestFitQuadrupole:
 
     def test_nested_dipole_only_data(self):
         obs = observed_from_pattern(dipole_pattern(0.9))
-        result = fit_quadrupole(obs, tied(0.8, 0.05, 0.02))
+        result = fit_quadrupole(obs, PhaseSet(0.8, 0.05, thetaC4=0.02))
         assert result.theta0_hat == pytest.approx(0.9, abs=1e-6)
         assert abs(result.thetaA2_hat) < 1e-6
         assert abs(result.thetaC4_hat) < 1e-6
@@ -256,18 +254,18 @@ class TestFitQuadrupole:
         with pytest.raises(ValueError, match="4 distinct"):
             fit_quadrupole(
                 ObservedPattern(rows=((0, 0.5, 1.0), (2, 0.2, 1.0), (4, 0.1, 1.0))),
-                tied(0.5),
+                PhaseSet(0.5),
             )
         with pytest.raises(ValueError, match="pair"):
             fit_quadrupole(
                 ObservedPattern(
                     rows=((0, 0.5, 1.0), (2, 0.2, 1.0), (4, 0.1, 1.0), (6, 0.05, 1.0))
                 ),
-                tied(0.5),
+                PhaseSet(0.5),
             )
 
     def test_symmetrised_data_raises_degeneracy_warning(self):
-        truth = tied(0.8, 0.2, -0.05)
+        truth = PhaseSet(0.8, 0.2, thetaC4=-0.05)
         pattern = quadrupole_pattern(truth)
         rows = []
         for q in sorted({abs(int(v)) for v in pattern.orders}):
@@ -277,15 +275,16 @@ class TestFitQuadrupole:
                 avg = 0.5 * (pattern.intensity(q) + pattern.intensity(-q))
                 rows.append((q, avg, 1.0))
                 rows.append((-q, avg, 1.0))
-        result = fit_quadrupole(ObservedPattern(rows=tuple(rows)), tied(0.7, 0.25, -0.02))
+        start = PhaseSet(0.7, 0.25, thetaC4=-0.02)
+        result = fit_quadrupole(ObservedPattern(rows=tuple(rows)), start)
         assert result.degenerate
         assert "degeneracy warning" in result.covariance_note
 
     def test_theta0_normalised_by_joint_flip(self):
-        truth = tied(0.9, 0.3, -0.2)
+        truth = PhaseSet(0.9, 0.3, thetaC4=-0.2)
         obs = observed_from_pattern(quadrupole_pattern(truth))
         # start near the exactly-equivalent negative-theta0 representation
-        result = fit_quadrupole(obs, tied(-0.88, 0.32, 0.19))
+        result = fit_quadrupole(obs, PhaseSet(-0.88, 0.32, thetaC4=0.19))
         assert result.theta0_hat >= 0.0
         assert result.theta0_hat == pytest.approx(0.9, abs=1e-6)
         assert result.thetaC4_hat == pytest.approx(-0.2, abs=1e-6)
@@ -308,7 +307,7 @@ class TestExactJacobian:
         rng = np.random.default_rng(13)
         for _ in range(40):
             p = np.array([rng.uniform(0.2, 3.0), *rng.uniform(-1.0, 1.0, 2)])
-            pattern = quadrupole_pattern(tied(*p))
+            pattern = quadrupole_pattern(PhaseSet(*p[:2], thetaC4=p[2]))
             orders = pattern.orders[pattern.intensities > 1e-12]
             intensities, jac = fitting._quad_model(p, orders)
             assert np.array_equal(intensities, pattern.intensities_at(orders))
@@ -390,8 +389,8 @@ class TestModelCalls:
     ])
     def test_quadrupole_fit(self, monkeypatch, truth, init, halved):
         calls = _recorded_calls(monkeypatch, "_quad_model")
-        obs = observed_from_pattern(quadrupole_pattern(tied(*truth)))
-        result = fit_quadrupole(obs, tied(*init))
+        obs = observed_from_pattern(quadrupole_pattern(PhaseSet(*truth[:2], thetaC4=truth[2])))
+        result = fit_quadrupole(obs, PhaseSet(*init[:2], thetaC4=init[2]))
         accepted, rejected = _trials(calls, obs)
         assert len(calls) == 1 + accepted + rejected
         assert result.iterations - accepted in (0, 1)
@@ -401,11 +400,11 @@ class TestModelCalls:
 def test_fit_with_its_optimum_at_the_phase_range_edge_returns_the_edge(monkeypatch):
     # every evaluation brings its own derivatives, so no Jacobian column
     # steps past the range and only trial steps can leave it
-    pattern = quadrupole_pattern(tied(2.0056, 0.3, -0.2))
+    pattern = quadrupole_pattern(PhaseSet(2.0056, 0.3, thetaC4=-0.2))
     keep = pattern.intensities > 1e-5
     obs = ObservedPattern.from_arrays(pattern.orders[keep], pattern.intensities[keep])
     monkeypatch.setattr(diffraction, "_MAX_BESSEL_ARG", 2.0055)
-    result = fit_quadrupole(obs, tied(1.95, 0.31, -0.19))
+    result = fit_quadrupole(obs, PhaseSet(1.95, 0.31, thetaC4=-0.19))
     assert result.converged
     assert result.theta0_hat <= 2.0055
     assert result.theta0_hat == pytest.approx(2.0055, abs=1e-6)
@@ -424,9 +423,9 @@ class TestEquivalentTriples:
         )
 
     def test_every_candidate_reproduces_the_pattern(self):
-        base = quadrupole_pattern(tied(1.1, -0.7, 0.9))
+        base = quadrupole_pattern(PhaseSet(1.1, -0.7, thetaC4=0.9))
         for cand in equivalent_triples(1.1, -0.7, 0.9):
-            pattern = quadrupole_pattern(tied(*cand))
+            pattern = quadrupole_pattern(PhaseSet(*cand[:2], thetaC4=cand[2]))
             qs = set(map(int, base.orders)) | set(map(int, pattern.orders))
             dev = max(abs(base.intensity(q) - pattern.intensity(q)) for q in qs)
             assert dev < 1e-12
@@ -574,7 +573,9 @@ class TestPolarizabilityRecovery:
         phases = diffraction.phases_from_potential(model, tau)
         pattern = quadrupole_pattern(phases)
         obs = observed_from_pattern(pattern)
-        init = tied(phases.theta0 * 1.02 + 0.01, phases.thetaA2 * 0.98, phases.thetaC4 * 1.02)
+        init = PhaseSet(
+            phases.theta0 * 1.02 + 0.01, phases.thetaA2 * 0.98, thetaC4=phases.thetaC4 * 1.02
+        )
         result = fit_quadrupole(obs, init)
         # the physical solution has theta0 < 0; the fitter reports the
         # joint-flip representative, so map back before converting

@@ -103,7 +103,7 @@ def test_quadrupole_fit_is_bit_identical(case, monkeypatch):
         case["orders"], case["intensities"], case["weights"]
     )
     theta0, theta_a2, theta_c4 = case["init"]
-    result = fitting.fit_quadrupole(observed, PhaseSet(theta0, theta_a2, 0.5 * theta_a2, theta_c4))
+    result = fitting.fit_quadrupole(observed, PhaseSet(theta0, theta_a2, thetaC4=theta_c4))
     assert _fields(result) == case["result"]
     # the narrowed-range case pins the path where a trial step is rejected
     # because it leaves the engine's domain
