@@ -4,8 +4,9 @@ Subpackages: :mod:`xkd.potentials` (interaction potential and species
 catalog), :mod:`xkd.diffraction` (analytic Bessel engines plus an
 independent Fourier oracle), :mod:`xkd.feasibility` (experiment planning
 estimates and pass/fail flags), :mod:`xkd.fitting` (phase and
-polarizability recovery from measured peak intensities), :mod:`xkd.cli`
-(the ``xkd`` command).
+polarizability recovery from measured peak intensities, by damped
+Gauss-Newton on a model that takes one FFT of the exit wave per
+evaluation), :mod:`xkd.cli` (the ``xkd`` command).
 
 Everything is a pure function of immutable inputs; there is no global
 mutable state and no cache anywhere, so concurrent use needs no

@@ -1,14 +1,19 @@
 """Recover grating phases (and polarizabilities) from measured peak intensities.
 
-The forward models are the analytic engines of :mod:`xkd.diffraction`;
-fitting is weighted least squares on the per-order intensities by damped
-Gauss-Newton (smooth, low-dimensional problem; an accepted step never
-increases the weighted residual).  The derivatives are exact and come from
-the pattern itself: differentiating the exit wave
-``exp(i[theta0 cos u + thetaA2 (sin u + sin 2u / 2) + thetaC4 cos 2u])``
-multiplies it by ``i cos u``, ``i (sin u + sin 2u / 2)`` or ``i cos 2u``,
-which only shifts amplitudes by one or two order pairs, so each trial
-evaluation returns its intensities and its Jacobian together.
+The forward model is the exit wave
+``psi(u) = exp(i[theta0 cos u + thetaA2 (sin u + sin 2u / 2) + thetaC4 cos 2u])``,
+whose coefficient at ``exp(i q u / 2)`` is the amplitude A(q) of order q.
+One FFT of psi sampled on a power of two of points gives every A(q) (the
+trapezoidal rule on a periodic analytic function, so the aliasing error
+dies super-exponentially with the grid); the Bessel engines of
+:mod:`xkd.diffraction` agree with it to rounding.  Fitting is weighted
+least squares on the per-order intensities by Gauss-Newton with Marquardt
+damping (smooth, low-dimensional problem; an accepted step never
+increases the weighted residual, and a rejected one is retried with more
+damping).  The derivatives are exact: differentiating psi multiplies it by
+``i cos u``, ``i (sin u + sin 2u / 2)`` or ``i cos 2u``, which only shifts
+amplitudes by one or two order pairs, so each trial evaluation returns its
+intensities and its Jacobian together.
 
 Identifiability caveats, all exact properties of the model and resolved by
 convention or documentation rather than by the data:
@@ -25,9 +30,10 @@ convention or documentation rather than by the data:
   a quartic; a fit converges to the representative nearest its start.
 
 Flipping thetaA2 (with its tied 4k companion) mirrors the pattern instead,
-so its sign is carried by the +q/-q asymmetry; data symmetrised over +-q
-cannot determine it, which surfaces as a rank-deficient normal matrix and a
-degeneracy warning, not as a silent wrong answer.
+so its sign is carried by the +q/-q asymmetry.  Data symmetrised over +-q
+carry no sign.  A fit to them heads for thetaA2 = 0, where the model is
+itself mirror symmetric; a normal matrix that leaves a phase combination
+unfixed on the way is flagged by the degeneracy warning.
 
 Fitted phases convert back to polarizabilities when the laser context
 (intensity, wavelength) and the interaction time are known; see
@@ -166,11 +172,54 @@ _SHIFT_COEFFS = np.array([
     [0.5j, 0.0, 0.0, 0.0, 0.5j],
 ])
 
+# Marquardt damping of the Gauss-Newton step
+DAMPING_START = 1e-3
+DAMPING_FLOOR = 1e-12
+DAMPING_DOWN = 3.0          # divides the damping after an accepted step
+DAMPING_UP = 4.0            # multiplies it after a rejected one
+MAX_REJECTIONS = 60         # in a row, before the fit stops
 
-def _with_jacobian(pattern: diffraction.DiffractionPattern, orders: np.ndarray, n_params: int):
+
+def _support(phases) -> int:
+    """Half-orders h + 2 on which the exit wave's coefficients are read.
+
+    a = R2 + 2 R4 bounds the exit phase's slope, so the coefficients die
+    past about a half-orders as J_n(a) does, and h is the Bessel truncation
+    rule at a; the 2 covers the Jacobian's shifts by up to two half-orders.
+    """
+    theta0, theta_a2, theta_c4 = phases
+    a = math.hypot(theta0, theta_a2) + 2.0 * math.hypot(0.5 * theta_a2, theta_c4)
+    return int(math.ceil(a + 8.0 * a ** (1.0 / 3.0) + 12.0)) + 2
+
+
+def _amplitudes(phases, qs: np.ndarray) -> np.ndarray:
+    """A(q) at the even orders ``qs`` (any shape) for (theta0, thetaA2, thetaC4).
+
+    One FFT of the exit wave sampled on M points, M the next power of two
+    above 2 H + 1 for H = :func:`_support`; A(q) is the coefficient at index
+    (q/2) mod M.  Orders with |q|/2 > H read exactly 0, so they never
+    enlarge M.  A phase beyond the engine's range raises PhaseRangeError.
+    """
+    limit = diffraction._MAX_BESSEL_ARG
+    for xi in phases:
+        if not abs(xi) <= limit:
+            raise diffraction.PhaseRangeError(f"phase {xi!r} is beyond the {limit:g} rad range")
+    theta0, theta_a2, theta_c4 = phases
+    half = _support(phases)
+    m = 1 << (2 * half + 1).bit_length()
+    u = np.arange(m) * (2.0 * math.pi / m)
+    c, s = np.cos(u), np.sin(u)
+    # theta0 cos u + thetaA2 (sin u + sin 2u / 2) + thetaC4 cos 2u
+    phase = theta0 * c + theta_a2 * s * (1.0 + c) + theta_c4 * (c - s) * (c + s)
+    spectrum = np.fft.fft(np.exp(1j * phase)) / m
+    k = qs // 2
+    return np.where(np.abs(k) <= half, spectrum[k % m], 0.0)
+
+
+def _with_jacobian(phases, orders: np.ndarray, n_params: int):
     """Intensities at ``orders`` and their derivatives by the first
     ``n_params`` phases, d I / d p = 2 Re(conj(A) d A / d p)."""
-    shifted = pattern.amplitudes_at(orders[:, None] + _SHIFTS)
+    shifted = _amplitudes(phases, orders[:, None] + _SHIFTS)
     amps = shifted[:, 2]  # the unshifted column
     d_amps = shifted @ _SHIFT_COEFFS[:n_params].T
     return amps.real**2 + amps.imag**2, 2.0 * (amps.conj()[:, None] * d_amps).real
@@ -178,27 +227,32 @@ def _with_jacobian(pattern: diffraction.DiffractionPattern, orders: np.ndarray, 
 
 def _dipole_model(params: np.ndarray, orders: np.ndarray):
     """Intensities and their (n, 1) Jacobian by theta0 at ``orders``."""
-    return _with_jacobian(diffraction.dipole_pattern(float(params[0])), orders, 1)
+    return _with_jacobian((float(params[0]), 0.0, 0.0), orders, 1)
 
 
 def _quad_model(params: np.ndarray, orders: np.ndarray):
     """Intensities and their (n, 3) Jacobian by (theta0, thetaA2, thetaC4)."""
-    theta0, theta_a2, theta_c4 = (float(v) for v in params)
-    pattern = diffraction.quadrupole_pattern(PhaseSet(theta0, theta_a2, thetaC4=theta_c4))
-    return _with_jacobian(pattern, orders, 3)
+    return _with_jacobian(tuple(float(v) for v in params), orders, 3)
 
 
 def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
-    """Damped Gauss-Newton core shared by both fits.
+    """Gauss-Newton with Marquardt damping, shared by both fits.
 
-    ``model(p, orders)`` returns the intensities and their Jacobian.
-    Returns (params, residual, converged, iterations, cond, degenerate,
-    sigmas), the last three from the normal matrix at the returned params.
-    An exactly zero Jacobian stops the fit, converged only at residual 0.
+    ``model(p, orders)`` returns the intensities and their Jacobian.  Each
+    trial step solves (JtJ + lambda diag JtJ) s = -Jt r, capped at
+    ``MAX_STEP_NORM``; a step that raises the weighted residual is rejected
+    and lambda grows, an accepted one shrinks it.  The weights are divided
+    by their largest value first, so the fit does not depend on their
+    absolute scale.  Returns (params, residual, converged, iterations,
+    cond, degenerate, sigmas), the last three from the normal matrix at the
+    returned params.  An exactly zero Jacobian stops the fit, converged
+    only at residual 0.
     """
     orders = observed.orders
     y = observed.intensities
-    sqrt_w = np.sqrt(observed.weights)
+    weights = observed.weights
+    scale = float(np.max(weights))
+    sqrt_w = np.sqrt(weights / scale)
 
     def residuals(p):
         """Weighted residuals at p and their Jacobian."""
@@ -210,16 +264,26 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
         # can leave the model's domain; report it as an unacceptable step
         try:
             return residuals(p)
-        except diffraction.TruncationError:
+        except diffraction.PhaseRangeError:
             return None
+
+    def damped_step(jtj, rhs, damping):
+        matrix = jtj + damping * np.diag(np.diag(jtj))
+        try:
+            step = np.linalg.solve(matrix, rhs)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
+        norm = float(np.linalg.norm(step))
+        return step * (MAX_STEP_NORM / norm) if norm > MAX_STEP_NORM else step
 
     p = np.array(p0, dtype=float)
     with np.errstate(over="ignore"):
         r, jac = residuals(p)
         s = float(r @ r)
-    if not math.isfinite(s):
+    if not math.isfinite(s * scale):
         raise ValueError("the weighted residual at the start is not finite "
                          "(weights or intensities too large)")
+    damping = DAMPING_START
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
@@ -228,32 +292,27 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
             break
         jtj = jac.T @ jac
         rhs = -jac.T @ r
-        try:
-            step = np.linalg.solve(jtj, rhs)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jtj, rhs, rcond=None)
-        if not np.all(np.isfinite(step)):
-            break
-        norm = float(np.linalg.norm(step))
-        if norm > MAX_STEP_NORM:
-            step = step * (MAX_STEP_NORM / norm)
-        # halve the step until the weighted residual does not increase
-        accepted = False
-        for _ in range(60):
-            candidate = p + step
-            trial = try_residuals(candidate)
+        trial = None
+        for _ in range(MAX_REJECTIONS):
+            step = damped_step(jtj, rhs, damping)
+            if not np.all(np.isfinite(step)):
+                break
+            trial = try_residuals(p + step)
             if trial is not None:
                 s_new = float(trial[0] @ trial[0])
                 if s_new <= s:
-                    accepted = True
                     break
-            step = 0.5 * step
-        if not accepted:
-            converged = True  # no descent direction left at this scale
+            trial = None
+            damping *= DAMPING_UP
+        if trial is None:
+            # no descent direction left at any damping, unless the step
+            # itself could not be computed
+            converged = bool(np.all(np.isfinite(step)))
             break
-        p, (r, jac) = candidate, trial
+        p, (r, jac) = p + step, trial
         ds = s - s_new
         s = s_new
+        damping = max(damping / DAMPING_DOWN, DAMPING_FLOOR)
         if float(np.linalg.norm(step)) < STEP_TOLERANCE:
             converged = True
             break
@@ -264,14 +323,15 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
     cond = float(np.linalg.cond(jtj))
     degenerate = not math.isfinite(cond) or cond > DEGENERACY_CONDITION
     # first-order 1-sigma errors, None where the normal matrix leaves one
-    # undefined (singular, or overflowing); both fits have dof >= 1
+    # undefined (singular, or overflowing); both fits have dof >= 1.  The
+    # weight scale cancels between the residual and the normal matrix.
     try:
         variances = np.diag(s / (len(orders) - len(p)) * np.linalg.inv(jtj))
     except np.linalg.LinAlgError:
         variances = [math.nan] * len(p)
     sigmas = tuple(float(math.sqrt(max(v, 0.0))) if math.isfinite(v) else None
                    for v in variances)
-    return p, s, converged, iterations, cond, degenerate, sigmas
+    return p, s * scale, converged, iterations, cond, degenerate, sigmas
 
 
 def _total_note(observed: ObservedPattern) -> str:
@@ -326,8 +386,8 @@ def fit_quadrupole(observed: ObservedPattern, init: PhaseSet) -> FitResult:
 
     Needs at least four distinct orders including a +-q pair: the +-q
     asymmetry is the only carrier of the thetaA2 sign.  A normal-matrix
-    condition number above 1e10 at the solution marks the fit degenerate
-    (typically: symmetrised data).
+    condition number above 1e10 at the solution marks the fit degenerate:
+    some combination of the phases is then not fixed by the data.
     """
     if len(observed.rows) < 4:
         raise ValueError("need at least 4 distinct orders to fit the quadrupole model")
@@ -393,21 +453,29 @@ def equivalent_triples(
     sign change of g is finished by bisecting that cell, so no member hangs on
     the last bits of the quartic's roots.  A candidate ``(R2 cos phi,
     R2 sin phi, R4 cos(delta + 2 phi))`` is kept when it lies 1e-9 or more from
-    every earlier one and its pattern matches within ``MATCH_TOLERANCE`` per order.
+    every earlier one and its intensities, read from the fits' FFT model on
+    the input's support, match within ``MATCH_TOLERANCE`` per order.
     The input triple always comes first.
     """
     phases = PhaseSet(theta0, thetaA2, thetaC4=thetaC4)
-    base = diffraction.quadrupole_pattern(phases)
     r2 = math.hypot(theta0, thetaA2)
     r4 = math.hypot(phases.thetaA4, thetaC4)
     found = [(theta0, thetaA2, thetaC4)]
+    # every candidate has the input's R2 and R4, so the input's support
+    # covers its pattern too
+    half = _support(found[0])
+    qs = 2 * np.arange(-half, half + 1)
+
+    def intensities(triple):
+        amps = _amplitudes(triple, qs)
+        return amps.real**2 + amps.imag**2
+
+    base = intensities(found[0])
 
     def consider(candidate: tuple[float, float, float]):
         if any(max(abs(a - b) for a, b in zip(candidate, known)) < 1e-9 for known in found):
             return
-        pattern = diffraction.quadrupole_pattern(PhaseSet(*candidate[:2], thetaC4=candidate[2]))
-        qs = np.union1d(base.orders, pattern.orders)
-        if np.max(np.abs(base.intensities_at(qs) - pattern.intensities_at(qs))) <= MATCH_TOLERANCE:
+        if np.max(np.abs(base - intensities(candidate))) <= MATCH_TOLERANCE:
             found.append(candidate)
 
     phi2 = math.atan2(thetaA2, theta0)

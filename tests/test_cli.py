@@ -296,6 +296,21 @@ class TestFit:
         sigmas = [report["polarizabilities"][key] for key in ("alpha_sigma", "A_sigma", "C_sigma")]
         assert sigmas == [None] * 3
 
+    def test_start_on_an_invariant_subspace_claims_success_only_at_the_data(self, tmp_path):
+        # theta0 = thetaA2 = 0 keeps the exit wave pi-periodic, so only
+        # orders 4k move and the theta0 and thetaA2 columns vanish up to
+        # rounding; the fit may leave the subspace through that rounding,
+        # but exit 0 must mean it reached the data
+        start = {"model": "quadrupole", "init": {"theta0": 0, "thetaC4": 0.3}}
+        cfg = write_json(tmp_path / "fit.json", {**_shipped("fit_dipole.json"), **start})
+        out = tmp_path / "fit_report.json"
+        code = cli.main(["fit", "--config", cfg, "--out", str(out)])
+        report = strict_json(out.read_text())
+        if code == 0:
+            assert report["converged"] is True and report["residual"] < 1e-20
+        else:
+            assert code == 2 and report["converged"] is False
+
     def test_start_with_an_overflowing_residual_exits_one(self, tmp_path):
         csv_path = tmp_path / "obs.csv"
         csv_path.write_text("order,intensity,weight\n0,1e200,1e308\n2,1e200,1e308\n")
