@@ -14,11 +14,11 @@ amplitude at order q becomes a four-fold convolution
 
     A(q) = sum_{2n+2m+4l+4r=q} i^(n+r) J_n(t0) J_m(tA2) J_l(tA4) J_r(tC4)
 
-evaluated here as the 1-D convolution of four truncated Bessel rows: three
-successive direct convolutions for short rows, one product of zero-padded
-FFTs once the direct multiply-adds would cost more (see
-:func:`_fft_pays`).  Only even q ever appear (the potential contains only
-the 2k_L and 4k_L harmonics).
+evaluated here as the 1-D convolution of four truncated Bessel rows, one
+engine for both cases: a zero phase's row is the exact [1], which the
+direct convolutions skip, and long rows are combined in one product of
+zero-padded FFTs (see :func:`_fft_pays`).  Only even q ever appear (the
+potential contains only the 2k_L and 4k_L harmonics).
 
 Conventions:
 
@@ -219,10 +219,10 @@ class DiffractionPattern:
     The odd-length ``amplitudes`` are the symmetric window of even orders
     q = -2h..2h (units of k_L, relative to the incident beam), from which
     ``orders``, ``truncation_order`` = 2h and the |amplitude|^2
-    ``intensities`` derive.  ``truncation_residual`` is the discarded
-    probability (dipole, oracle) or a leading-order bound on
-    sum_q |A(q) - A_exact(q)|^2 (quadrupole).  ``odd_leakage`` is filled by
-    the Fourier oracle with the largest amplitude it saw on any odd order (an
+    ``intensities`` derive.  ``truncation_residual`` is a leading-order
+    bound on sum_q |A(q) - A_exact(q)|^2 (Bessel engine) or the discarded
+    probability (oracle).  ``odd_leakage`` is filled by the Fourier oracle
+    with the largest amplitude it saw on any odd order (an
     internal-consistency diagnostic; analytic engines report 0).  Patterns
     compare and hash by identity: two patterns with equal values differ.
     """
@@ -275,6 +275,15 @@ def _check_tolerance(tolerance: float):
         raise ValueError(f"tolerance must be in (0, 1e-3], got {tolerance}")
 
 
+def _truncation_order(a: float) -> int:
+    return int(math.ceil(a + 8.0 * a ** (1.0 / 3.0) + 12.0))
+
+
+def _check_phase(xi: float):
+    if not math.isfinite(xi) or abs(xi) > _MAX_BESSEL_ARG:
+        raise PhaseRangeError(f"phase {xi!r} is beyond the {_MAX_BESSEL_ARG:g} rad range")
+
+
 def _truncated_bessel(xi: float) -> tuple[np.ndarray, float]:
     """J_n(xi) for n = -N..N, N = ceil(|xi| + 8 |xi|^(1/3) + 12), and the
     probability 2 sum_{n>N} J_n(xi)^2 the row discards.
@@ -285,22 +294,21 @@ def _truncated_bessel(xi: float) -> tuple[np.ndarray, float]:
     """
     if xi == 0.0:
         return np.array([1.0]), 0.0
-    if not math.isfinite(xi) or abs(xi) > _MAX_BESSEL_ARG:
-        raise PhaseRangeError(f"phase {xi!r} is beyond the {_MAX_BESSEL_ARG:g} rad range")
+    _check_phase(xi)
     a = abs(xi)
-    n = int(math.ceil(a + 8.0 * a ** (1.0 / 3.0) + 12.0))
+    n = _truncation_order(a)
     row, tail = _bessel_row(a, n)
     # J_k(|xi|) for k = -n..n, using J_{-k}(x) = (-1)^k J_k(x); a negative
     # argument's row is that row reversed, since J_k(-x) = J_{-k}(x)
-    alt = np.where(np.arange(1, n + 1) % 2 == 0, 1.0, -1.0)
-    full = np.concatenate(((alt * row[1:])[::-1], row))
+    full = np.concatenate((row[:0:-1], row))
+    full[n - 1 :: -2] *= -1.0  # the odd negative orders
     return (full if xi > 0.0 else full[::-1]), tail
 
 
 def _times_i_powers(row: np.ndarray) -> np.ndarray:
     """A symmetric row of terms n = -N..N, each times the exact i**n."""
     n = (len(row) - 1) // 2
-    return _I_POW[np.mod(np.arange(-n, n + 1), 4)] * row
+    return _I_POW[np.arange(-n, n + 1) & 3] * row
 
 
 def _dilate(row: np.ndarray) -> np.ndarray:
@@ -336,8 +344,9 @@ def _convolve_rows(rows) -> np.ndarray:
     if not _fft_pays([len(r) for r in rows]):
         conv = rows[0]
         for other in rows[1:]:
-            conv = np.convolve(conv, other)
-        return conv
+            if len(other) > 1:  # a zero phase's row is exactly [1]
+                conv = np.convolve(conv, other)
+        return conv + 0.0  # clears the signed zeros convolving with [1] clears
     span = sum(len(r) for r in rows) - len(rows) + 1
     m = 1 << (span - 1).bit_length()
     spectrum = np.fft.fft(rows[0], m)
@@ -350,19 +359,10 @@ def dipole_pattern(theta0: float, tolerance: float = 1e-10) -> DiffractionPatter
     """Diffraction orders of the pure cos^2 grating.
 
     Order q = 2n carries amplitude i^n J_n(theta0), intensity J_n(theta0)^2;
-    ``truncation_residual`` is the probability the symmetric truncation
-    discards, and TruncationError is raised unless it is below
-    ``tolerance``.  theta0 = U0 tau / 2 hbar.
+    this is :func:`quadrupole_pattern` at zero quadrupole phases, so
+    ``truncation_residual`` is the row's tail.  theta0 = U0 tau / 2 hbar.
     """
-    _check_tolerance(tolerance)
-    row, tail = _truncated_bessel(float(theta0))
-    if not tail < tolerance:
-        raise TruncationError(f"cannot reach tolerance {tolerance:g} for phase {theta0:g}")
-    return DiffractionPattern(
-        amplitudes=_times_i_powers(row),
-        truncation_residual=tail,
-        global_phase=float(theta0),
-    )
+    return quadrupole_pattern(PhaseSet(float(theta0)), tolerance)
 
 
 def quadrupole_pattern(phases: PhaseSet, tolerance: float = 1e-10) -> DiffractionPattern:
@@ -372,13 +372,12 @@ def quadrupole_pattern(phases: PhaseSet, tolerance: float = 1e-10) -> Diffractio
     2k_L from theta0 and thetaA2, at 4k_L from the derived thetaA4 and
     thetaC4); the per-order amplitude is their discrete convolution, carried
     out in units of half-orders so the 4k_L rows land on even lattice sites.
-    With all quadrupole phases zero the result reproduces
-    :func:`dipole_pattern` exactly, convolution against the single-entry
-    identity row being transparent.  ``truncation_residual`` is
-    (sum_i sqrt t_i)^2 over the tails t_i the four rows discard.  Each comb
-    is a unit-modulus factor of the exit wave, so swapping them one at a
-    time for their truncations telescopes: to leading order this bounds
-    sum_q |A(q) - A_exact(q)|^2.
+    A zero phase's row is the single entry [1], which the convolution
+    skips; with all quadrupole phases zero this is :func:`dipole_pattern`.
+    ``truncation_residual`` is (sum_i sqrt t_i)^2 over the tails t_i the
+    four rows discard.  Each comb is a unit-modulus factor of the exit wave,
+    so swapping them one at a time for their truncations telescopes: to
+    leading order this bounds sum_q |A(q) - A_exact(q)|^2.
     TruncationError is raised unless it is below ``tolerance``.
 
     Long rows (phases from a few tens of radians up) are combined in one FFT
@@ -402,13 +401,12 @@ def quadrupole_pattern(phases: PhaseSet, tolerance: float = 1e-10) -> Diffractio
         _dilate(a4),
         _dilate(_times_i_powers(c4)),
     ))
-    h = (len(conv) - 1) // 2
-    # drop support padding whose amplitudes underflowed to exactly zero; the
-    # kept probability is close to 1, so at least one amplitude is nonzero
-    nonzero = np.nonzero(conv)[0]
-    h_keep = int(np.max(np.abs(nonzero - h)))
+    # strip end pairs that underflowed to exactly 0 (some amplitude is not)
+    lo, hi = 0, len(conv) - 1
+    while conv[lo] == 0 and conv[hi] == 0:
+        lo, hi = lo + 1, hi - 1
     return DiffractionPattern(
-        amplitudes=conv[h - h_keep : h + h_keep + 1],
+        amplitudes=conv[lo : hi + 1],
         truncation_residual=residual,
         global_phase=float(phases.global_phase),
     )

@@ -15,13 +15,13 @@ damping).  The derivatives are exact: differentiating psi multiplies it by
 amplitudes by one or two order pairs, so each trial evaluation returns its
 intensities and its Jacobian together.
 
-Identifiability caveats, all exact properties of the model and resolved by
-convention or documentation rather than by the data:
+The dipole fit is the quadrupole fit's body with thetaA2 = thetaC4 = 0
+held fixed.  Identifiability caveats, all exact properties of the model
+and resolved by convention or documentation rather than by the data:
 
-* dipole model: intensities are even in theta0, so theta0 >= 0 is reported;
-* quadrupole model: flipping theta0 and thetaC4 together leaves every
-  intensity unchanged (it maps the potential to the reflection of its
-  negative), so solutions are normalised to theta0 >= 0 by that joint flip;
+* flipping theta0 and thetaC4 together leaves every intensity unchanged
+  (it maps the potential to the reflection of its negative; the dipole
+  model is even in theta0), so both fits report theta0 >= 0 by that flip;
 * beyond sign flips, the intensities only pin down the two harmonic
   amplitudes R2 = hypot(theta0, thetaA2), R4 = hypot(thetaA2/2, thetaC4)
   and one relative phase (spatial translations of the grating drop out of
@@ -32,8 +32,7 @@ convention or documentation rather than by the data:
 Flipping thetaA2 (with its tied 4k companion) mirrors the pattern instead,
 so its sign is carried by the +q/-q asymmetry.  Data symmetrised over +-q
 carry no sign.  A fit to them heads for thetaA2 = 0, where the model is
-itself mirror symmetric; a normal matrix that leaves a phase combination
-unfixed on the way is flagged by the degeneracy warning.
+itself mirror symmetric and the normal matrix stays regular.
 
 Fitted phases convert back to polarizabilities when the laser context
 (intensity, wavelength) and the interaction time are known; see
@@ -189,7 +188,7 @@ def _support(phases) -> int:
     """
     theta0, theta_a2, theta_c4 = phases
     a = math.hypot(theta0, theta_a2) + 2.0 * math.hypot(0.5 * theta_a2, theta_c4)
-    return int(math.ceil(a + 8.0 * a ** (1.0 / 3.0) + 12.0)) + 2
+    return diffraction._truncation_order(a) + 2
 
 
 def _amplitudes(phases, qs: np.ndarray) -> np.ndarray:
@@ -200,10 +199,8 @@ def _amplitudes(phases, qs: np.ndarray) -> np.ndarray:
     (q/2) mod M.  Orders with |q|/2 > H read exactly 0, so they never
     enlarge M.  A phase beyond the engine's range raises PhaseRangeError.
     """
-    limit = diffraction._MAX_BESSEL_ARG
     for xi in phases:
-        if not abs(xi) <= limit:
-            raise diffraction.PhaseRangeError(f"phase {xi!r} is beyond the {limit:g} rad range")
+        diffraction._check_phase(xi)
     theta0, theta_a2, theta_c4 = phases
     half = _support(phases)
     m = 1 << (2 * half + 1).bit_length()
@@ -334,16 +331,30 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
     return p, s * scale, converged, iterations, cond, degenerate, sigmas
 
 
-def _total_note(observed: ObservedPattern) -> str:
-    """Diagnostic for an observed total above 1 (noise or missing
-    normalisation); empty when the total is consistent with a pattern."""
+def _fit(model, p0, observed: ObservedPattern, describe) -> FitResult:
+    """Fit from ``p0``, theta0 >= 0 by the joint (theta0, thetaC4) flip and
+    omitted phases 0.0; ``describe(cond, degenerate, sigmas)`` opens the
+    covariance note, and an observed total above 1 closes it."""
+    p, s, converged, iterations, cond, degenerate, sigmas = _gauss_newton(model, p0, observed)
+    theta0, theta_a2, theta_c4 = [*map(float, p), 0.0, 0.0][:3]
+    if math.copysign(1.0, theta0) < 0:
+        # an exact symmetry; 0.0 - x keeps a dipole fit's thetaC4 at 0.0
+        theta0, theta_c4 = -theta0, 0.0 - theta_c4
+    note = describe(cond, degenerate, sigmas)
     total = sum(i for _, i, _ in observed.rows)
     if total > 1.0 + TOTAL_EXCESS:
-        return (
-            f"; observed intensities sum to {total:.10g}, above 1 "
-            "(noisy or unnormalised data)"
-        )
-    return ""
+        note += f"; observed intensities sum to {total:.10g}, above 1 (noisy or unnormalised data)"
+    return FitResult(
+        theta0_hat=theta0,
+        thetaA2_hat=theta_a2,
+        thetaC4_hat=theta_c4,
+        residual=s,
+        converged=converged,
+        iterations=iterations,
+        covariance_note=note,
+        degenerate=degenerate,
+        param_sigma=sigmas,
+    )
 
 
 def fit_dipole(observed: ObservedPattern, theta0_init: float = 0.5) -> FitResult:
@@ -357,28 +368,16 @@ def fit_dipole(observed: ObservedPattern, theta0_init: float = 0.5) -> FitResult
     """
     if len(observed.rows) < 2:
         raise ValueError("need at least 2 distinct orders to fit theta0")
-    p, s, converged, iterations, _, degenerate, (sigma,) = _gauss_newton(
-        _dipole_model, np.array([float(theta0_init)]), observed
-    )
-    theta0 = abs(float(p[0]))
-    note = (
-        "theta0 reported non-negative (intensities are even in theta0); "
-        + (f"1-sigma estimate {sigma:.3e} rad from the final normal matrix"
-           if sigma is not None else "no 1-sigma estimate: the final normal matrix "
-           "cannot be inverted (it is zero at theta0 = 0)")
-        + _total_note(observed)
-    )
-    return FitResult(
-        theta0_hat=theta0,
-        thetaA2_hat=0.0,
-        thetaC4_hat=0.0,
-        residual=s,
-        converged=converged,
-        iterations=iterations,
-        covariance_note=note,
-        degenerate=degenerate,
-        param_sigma=(sigma,),
-    )
+
+    def describe(cond, degenerate, sigmas):
+        (sigma,) = sigmas
+        return "theta0 reported non-negative (intensities are even in theta0); " + (
+            f"1-sigma estimate {sigma:.3e} rad from the final normal matrix"
+            if sigma is not None else "no 1-sigma estimate: the final normal matrix "
+            "cannot be inverted (it is zero at theta0 = 0)"
+        )
+
+    return _fit(_dipole_model, [float(theta0_init)], observed, describe)
 
 
 def fit_quadrupole(observed: ObservedPattern, init: PhaseSet) -> FitResult:
@@ -395,39 +394,20 @@ def fit_quadrupole(observed: ObservedPattern, init: PhaseSet) -> FitResult:
     if not any(q > 0 and -q in orders for q in orders):
         raise ValueError("need at least one +q/-q order pair to expose the asymmetry")
 
-    p0 = np.array([init.theta0, init.thetaA2, init.thetaC4], dtype=float)
-    p, s, converged, iterations, cond, degenerate, sigmas = _gauss_newton(
-        _quad_model, p0, observed
-    )
-
-    theta0, theta_a2, theta_c4 = (float(v) for v in p)
-    if theta0 < 0:
-        # joint flip is an exact symmetry of all intensities
-        theta0, theta_c4 = -theta0, -theta_c4
-
-    note = (
-        f"normal-matrix condition number {cond:.3e}"
-        + (
-            f"; degeneracy warning: above {DEGENERACY_CONDITION:.0e}, some "
-            "parameter combination (e.g. the thetaA2 sign under symmetrised "
-            "data) is unconstrained"
-            if degenerate
-            else ""
+    def describe(cond, degenerate, sigmas):
+        return (
+            f"normal-matrix condition number {cond:.3e}"
+            + (
+                f"; degeneracy warning: above {DEGENERACY_CONDITION:.0e}, some "
+                "parameter combination (e.g. thetaC4 at thetaA2 = thetaC4 = 0, "
+                "as on dipole-only data) is unconstrained"
+                if degenerate
+                else ""
+            )
+            + "; theta0 normalised >= 0 via the exact (theta0, thetaC4) joint flip"
         )
-        + "; theta0 normalised >= 0 via the exact (theta0, thetaC4) joint flip"
-        + _total_note(observed)
-    )
-    return FitResult(
-        theta0_hat=theta0,
-        thetaA2_hat=theta_a2,
-        thetaC4_hat=theta_c4,
-        residual=s,
-        converged=converged,
-        iterations=iterations,
-        covariance_note=note,
-        degenerate=degenerate,
-        param_sigma=sigmas,
-    )
+
+    return _fit(_quad_model, [init.theta0, init.thetaA2, init.thetaC4], observed, describe)
 
 
 def equivalent_triples(
@@ -524,10 +504,11 @@ class PolarizabilityEstimate:
 def polarizability_estimates(
     result: FitResult, laser: LaserGrating, tau: float
 ) -> PolarizabilityEstimate:
-    """Invert the phase definitions for alpha, A_dq and C_qq.
+    """Invert the phase definitions for alpha, A_dq and C_qq, taking alpha > 0.
 
-    |U0| = 2 hbar theta0 / tau with U0 = -alpha E0^2/4;
-    UA = 4 hbar thetaA2 / tau; UC = -8 hbar thetaC4 / tau.  Uncertainties
+    U0 = -alpha E0^2/4 then makes the true theta0 = U0 tau / 2 hbar negative,
+    so the fit's theta0 >= 0 is the joint flip: |U0| = 2 hbar theta0 / tau,
+    UC = 8 hbar thetaC4 / tau and UA = 4 hbar thetaA2 / tau.  Uncertainties
     propagate the fit's sigmas to first order (a dipole fit has none for
     A_dq and C_qq, so those are None).
     """
@@ -549,7 +530,7 @@ def polarizability_estimates(
         alpha_sigma=alpha_s,
         A_dq=a_per_rad * result.thetaA2_hat,
         A_sigma=a_s,
-        C_qq=0.0 - c_per_rad * result.thetaC4_hat,  # 0.0, not -0.0, at thetaC4 = 0
+        C_qq=c_per_rad * result.thetaC4_hat + 0.0,  # 0.0, not -0.0, at thetaC4 = 0
         C_sigma=c_s,
     )
     if not all(math.isfinite(v) for v in (estimate.alpha, estimate.A_dq, estimate.C_qq)):

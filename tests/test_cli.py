@@ -17,6 +17,13 @@ from hypothesis import example, given, settings, strategies as st
 from xkd import cli, diffraction
 from xkd.constants import EV, HBAR
 from xkd.diffraction import dipole_pattern
+from xkd.potentials import (
+    AtomSpecies,
+    LaserGrating,
+    build_potential,
+    lightshift_depth,
+    quadrupole_scales,
+)
 
 
 def write_json(path, doc):
@@ -246,6 +253,40 @@ class TestFit:
         assert report["theta0_hat"] == pytest.approx(1.0, abs=1e-7)
         assert report["converged"] is True
         assert report["polarizabilities"]["alpha"] > 0
+
+    def test_quadrupole_fit_recovers_a_positive_c_qq(self, tmp_path):
+        # species with C_qq > 0 -> `xkd pattern` -> `xkd fit` with its laser:
+        # the reported C_qq keeps the species' sign
+        atom = {
+            "mass_kg": 2.5e-26, "alpha_m3": 2.4e-29, "ionization_energy_eV": 10.0,
+            "sigma_table": [[100.0, 5e-22]], "A_dq": 30.0, "C_qq": 30.0,
+        }
+        laser = {"wavelength_m": 5e-10, "intensity_W_m2": 4e15, "tau_s": 1e-12}
+        cfg = write_json(
+            tmp_path / "p.json",
+            {"wavelength_m": 5e-10, "tau_s": 1e-12, "atom": atom, "intensity_W_m2": 4e15},
+        )
+        pattern_out = tmp_path / "pattern.json"
+        assert cli.main(["pattern", "--config", cfg, "--out", str(pattern_out)]) == 0
+        doc = json.loads(pattern_out.read_text())
+        rows = [f"{q},{i!r}" for q, i in zip(doc["orders"], doc["intensities"]) if i > 1e-8]
+        csv_path = tmp_path / "obs.csv"
+        csv_path.write_text("order,intensity\n" + "\n".join(rows) + "\n")
+        species = AtomSpecies("t", 2.5e-26, 2.4e-29, 10.0, ((100.0, 5e-22),), 30.0, 30.0)
+        grating = LaserGrating(5e-10, 4e15, 1e-12, 1e-6)
+        depths = (lightshift_depth(species, grating), *quadrupole_scales(species, grating))
+        truth = diffraction.phases_from_potential(build_potential(*depths, grating.k_L), 1e-12)
+        init = {"theta0": truth.theta0, "thetaA2": truth.thetaA2, "thetaC4": truth.thetaC4}
+        fit_cfg = write_json(
+            tmp_path / "fit.json",
+            {"observations_csv": str(csv_path), "model": "quadrupole", "init": init,
+             "laser": laser},
+        )
+        out = tmp_path / "fit_report.json"
+        assert cli.main(["fit", "--config", fit_cfg, "--out", str(out)]) == 0
+        estimate = json.loads(out.read_text())["polarizabilities"]
+        assert estimate["C_qq"] == pytest.approx(30.0, rel=1e-8)
+        assert estimate["A_dq"] == pytest.approx(30.0, rel=1e-8)
 
     def test_non_convergence_exits_two(self, tmp_path, monkeypatch):
         from xkd import fitting

@@ -163,11 +163,16 @@ class TestDipolePattern:
 
 class TestQuadrupolePattern:
     def test_reduction_is_bit_identical(self):
+        # at zero quadrupole phases the engine returns the Jacobi-Anger comb
+        # i^n J_n(theta0) of one Bessel row, bit for bit, and that row's tail
         for theta0 in (0.3, 1.0, -2.2):
-            dip = dipole_pattern(theta0)
+            row, tail = diffraction._truncated_bessel(theta0)
             quad = quadrupole_pattern(PhaseSet(theta0))
-            assert np.array_equal(dip.orders, quad.orders)
-            assert np.array_equal(dip.amplitudes, quad.amplitudes)
+            assert np.array_equal(quad.amplitudes, diffraction._times_i_powers(row))
+            assert quad.truncation_residual == pytest.approx(tail, rel=3e-16)
+            for q in (0, 2, -4):
+                exact = 1j ** (q // 2 % 4) * bessel_series_oracle(q // 2, theta0)
+                assert abs(quad.amplitude(q) - exact) <= 1e-15
 
     def test_all_zero_phases(self):
         p = quadrupole_pattern(PhaseSet(0.0))
@@ -300,6 +305,28 @@ class TestConvolutionPaths:
         extra = ~np.isin(fft.orders, direct.orders)
         assert np.max(np.abs(fft.amplitudes[extra])) <= 1e-15
         assert abs(direct.truncation_residual - fft.truncation_residual) <= 1e-14
+
+    def test_zero_phase_rows_keep_the_bytes_of_convolving_with_one(self):
+        # the direct path skips a zero phase's row [1]; the amplitudes must
+        # keep the bytes of the explicit convolution with [1], signed zeros
+        # included, and of the window cut at the outermost nonzero order
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            draws = rng.uniform(-4.0, 4.0, 3) * 10.0 ** rng.uniform(-3.0, 0.0, 3)
+            theta0, a2, c4 = np.where(rng.random(3) < 0.5, 0.0, draws)
+            phases = PhaseSet(float(theta0), float(a2), thetaC4=float(c4))
+            t0, ra2, ra4, rc4 = (
+                diffraction._truncated_bessel(xi)[0]
+                for xi in (phases.theta0, phases.thetaA2, phases.thetaA4, phases.thetaC4)
+            )
+            conv = diffraction._times_i_powers(t0)
+            for other in (ra2, diffraction._dilate(ra4),
+                          diffraction._dilate(diffraction._times_i_powers(rc4))):
+                conv = np.convolve(conv, other)
+            h = len(conv) // 2
+            k = int(np.max(np.abs(np.flatnonzero(conv) - h)))
+            got = quadrupole_pattern(phases).amplitudes
+            assert got.tobytes() == conv[h - k : h + k + 1].tobytes(), phases
 
     def test_bessel_argument_cap(self):
         # every phase at the 1e4 cap: about 1e5 orders, against the oracle on

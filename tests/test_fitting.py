@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from xkd.diffraction import PhaseSet, dipole_pattern, quadrupole_pattern
 from xkd.fitting import (
@@ -256,6 +257,15 @@ class TestFitQuadrupole:
         assert result.theta0_hat == pytest.approx(0.9, abs=1e-6)
         assert abs(result.thetaA2_hat) < 1e-6
         assert abs(result.thetaC4_hat) < 1e-6
+        # at thetaA2 = thetaC4 = 0 no intensity moves with thetaC4 to first
+        # order, so dipole-only data leave it unconstrained, and the
+        # degeneracy note names this case
+        assert result.degenerate
+        assert "(e.g. thetaC4 at thetaA2 = thetaC4 = 0, as on dipole-only data)" in (
+            result.covariance_note
+        )
+        _, jac = fitting._quad_model(np.array([0.9, 0.0, 0.0]), obs.orders)
+        assert np.max(np.abs(jac[:, 2])) <= 1e-15
 
     def test_preconditions(self):
         with pytest.raises(ValueError, match="4 distinct"):
@@ -667,11 +677,38 @@ class TestPolarizabilityRecovery:
         )
         result = fit_quadrupole(obs, init)
         # the physical solution has theta0 < 0; the fitter reports the
-        # joint-flip representative, so map back before converting
+        # joint-flip representative, which the conversion undoes
         estimate = polarizability_estimates(result, laser, tau)
         assert estimate.alpha == pytest.approx(atom.alpha, rel=1e-6)
-        assert abs(estimate.A_dq) == pytest.approx(atom.A_dq, rel=1e-4)
-        assert abs(estimate.C_qq) == pytest.approx(atom.C_qq, rel=1e-4)
+        assert estimate.A_dq == pytest.approx(atom.A_dq, rel=1e-4)
+        assert estimate.C_qq == pytest.approx(atom.C_qq, rel=1e-4)
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(
+        alpha=st.floats(1e-30, 5e-29),
+        a_dq=st.one_of(st.just(0.0), st.floats(1.0, 300.0)),
+        c_qq=st.one_of(st.just(0.0), st.floats(1.0, 3000.0)),
+    )
+    def test_polarizabilities_survive_a_round_trip(self, alpha, a_dq, c_qq):
+        # species -> pattern -> fit started at the true phases -> alpha,
+        # A_dq, C_qq; alpha > 0 makes the true theta0 negative, so the
+        # reported theta0 >= 0 is the joint flip of the truth.  At
+        # A_dq = C_qq = 0 every intensity is stationary in thetaC4: the fit
+        # says degenerate and pins C_qq only to ~1e-7, so that corner is out
+        assume(a_dq > 0.0 or c_qq > 0.0)
+        atom = AtomSpecies("t", 2.5e-26, alpha, 10.0, ((100.0, 5e-22),), a_dq, c_qq)
+        laser = LaserGrating(5e-10, 4e15, 1e-12, 1e-6)
+        tau = laser.pulse_duration
+        u0 = lightshift_depth(atom, laser)
+        ua, uc = quadrupole_scales(atom, laser)
+        phases = diffraction.phases_from_potential(build_potential(u0, ua, uc, laser.k_L), tau)
+        pattern = quadrupole_pattern(phases)
+        keep = pattern.intensities > 1e-8
+        obs = ObservedPattern.from_arrays(pattern.orders[keep], pattern.intensities[keep])
+        estimate = polarizability_estimates(fit_quadrupole(obs, phases), laser, tau)
+        assert math.isclose(estimate.alpha, alpha, rel_tol=1e-8)
+        assert math.isclose(estimate.A_dq, a_dq, rel_tol=1e-8, abs_tol=1e-8)
+        assert math.isclose(estimate.C_qq, c_qq, rel_tol=1e-8, abs_tol=1e-8)
 
     def test_requires_positive_context(self):
         obs = observed_from_pattern(dipole_pattern(1.0))
