@@ -89,6 +89,11 @@ def _pattern(doc: dict, where: str) -> diffraction.DiffractionPattern:
             f"{where}: give exactly one of key 'U0_eV' (with optional "
             f"'UA_eV'/'UC_eV') or key 'atom' (with 'intensity_W_m2')"
         )
+    other = ("intensity_W_m2", "spot_radius_m", "catalog") if direct else ("UA_eV", "UC_eV")
+    stray = ", ".join(f"'{key}'" for key in other if key in doc)
+    if stray:
+        source = "U0_eV" if direct else "atom"
+        raise CatalogError(f"{where}: key {stray} does not go with key '{source}'")
     with _blame(doc, where, "tau_s", "wavelength_m", "U0_eV", "UA_eV", "UC_eV", "atom",
                 "intensity_W_m2"):
         if direct:

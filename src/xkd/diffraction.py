@@ -14,9 +14,9 @@ amplitude at order q becomes a four-fold convolution
 
     A(q) = sum_{2n+2m+4l+4r=q} i^(n+r) J_n(t0) J_m(tA2) J_l(tA4) J_r(tC4)
 
-evaluated here as the 1-D convolution of four truncated Bessel rows, one
-engine for both cases: a zero phase's row is the exact [1], which the
-direct convolutions skip, and long rows are combined in one product of
+evaluated here as the 1-D convolution of the truncated Bessel rows of the
+nonzero phases, one engine for both cases: a zero phase's comb is the
+factor 1 and gets no row, and long rows are combined in one product of
 zero-padded FFTs (see :func:`_fft_pays`).  Only even q ever appear (the
 potential contains only the 2k_L and 4k_L harmonics).
 
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import HBAR
-from .potentials import PotentialModel, evaluate_potential
+from .potentials import PotentialModel, _mean, evaluate_potential
 
 __all__ = [
     "TruncationError",
@@ -288,12 +288,8 @@ def _truncated_bessel(xi: float) -> tuple[np.ndarray, float]:
     """J_n(xi) for n = -N..N, N = ceil(|xi| + 8 |xi|^(1/3) + 12), and the
     probability 2 sum_{n>N} J_n(xi)^2 the row discards.
 
-    Returns the signed row (J_{-n} = (-1)^n J_n).  xi = 0 collapses to the
-    exact single-entry row [1], which keeps convolutions with inactive
-    terms bit-transparent.
+    Returns the signed row (J_{-n} = (-1)^n J_n).
     """
-    if xi == 0.0:
-        return np.array([1.0]), 0.0
     _check_phase(xi)
     a = abs(xi)
     n = _truncation_order(a)
@@ -311,10 +307,10 @@ def _times_i_powers(row: np.ndarray) -> np.ndarray:
     return _I_POW[np.arange(-n, n + 1) & 3] * row
 
 
-def _dilate(row: np.ndarray) -> np.ndarray:
-    """Spread a symmetric coefficient row onto every other lattice site."""
-    out = np.zeros(2 * len(row) - 1, dtype=row.dtype)
-    out[::2] = row
+def _dilate(row: np.ndarray, step: int) -> np.ndarray:
+    """Spread a symmetric coefficient row onto every ``step``-th lattice site."""
+    out = np.zeros(step * (len(row) - 1) + 1, dtype=row.dtype)
+    out[::step] = row
     return out
 
 
@@ -342,11 +338,10 @@ def _fft_pays(lengths) -> bool:
 def _convolve_rows(rows) -> np.ndarray:
     """Full linear convolution of the rows, direct or by one FFT product."""
     if not _fft_pays([len(r) for r in rows]):
-        conv = rows[0]
+        conv = rows[0] + 0j  # numpy sums a real convolution in another order
         for other in rows[1:]:
-            if len(other) > 1:  # a zero phase's row is exactly [1]
-                conv = np.convolve(conv, other)
-        return conv + 0.0  # clears the signed zeros convolving with [1] clears
+            conv = np.convolve(conv, other)
+        return conv + 0.0  # no signed zeros, as if convolved with a zero phase's [1]
     span = sum(len(r) for r in rows) - len(rows) + 1
     m = 1 << (span - 1).bit_length()
     spectrum = np.fft.fft(rows[0], m)
@@ -372,12 +367,12 @@ def quadrupole_pattern(phases: PhaseSet, tolerance: float = 1e-10) -> Diffractio
     2k_L from theta0 and thetaA2, at 4k_L from the derived thetaA4 and
     thetaC4); the per-order amplitude is their discrete convolution, carried
     out in units of half-orders so the 4k_L rows land on even lattice sites.
-    A zero phase's row is the single entry [1], which the convolution
-    skips; with all quadrupole phases zero this is :func:`dipole_pattern`.
-    ``truncation_residual`` is (sum_i sqrt t_i)^2 over the tails t_i the
-    four rows discard.  Each comb is a unit-modulus factor of the exit wave,
-    so swapping them one at a time for their truncations telescopes: to
-    leading order this bounds sum_q |A(q) - A_exact(q)|^2.
+    A zero phase's comb is the factor 1 and gets no row: with all quadrupole
+    phases zero this is :func:`dipole_pattern`, with every phase zero the
+    single amplitude 1.  ``truncation_residual`` is (sum_i sqrt t_i)^2 over
+    the tails t_i of the rows built.  Each comb is a unit-modulus factor of
+    the exit wave, so swapping them one at a time for their truncations
+    telescopes: to leading order this bounds sum_q |A(q) - A_exact(q)|^2.
     TruncationError is raised unless it is below ``tolerance``.
 
     Long rows (phases from a few tens of radians up) are combined in one FFT
@@ -388,19 +383,22 @@ def quadrupole_pattern(phases: PhaseSet, tolerance: float = 1e-10) -> Diffractio
     can carry a few more orders, each below 1e-15 in magnitude.
     """
     _check_tolerance(tolerance)
-    (t0, r0), (a2, ra2), (a4, ra4), (c4, rc4) = (
-        _truncated_bessel(float(xi))
-        for xi in (phases.theta0, phases.thetaA2, phases.thetaA4, phases.thetaC4)
-    )
-    residual = (math.sqrt(r0) + math.sqrt(ra2) + math.sqrt(ra4) + math.sqrt(rc4)) ** 2
+    rows, roots = [], 0.0
+    # the cosine harmonics carry i^n; the 4k_L combs sit on every other site
+    for xi, i_powers, step in (
+        (phases.theta0, True, 1),
+        (phases.thetaA2, False, 1),
+        (phases.thetaA4, False, 2),
+        (phases.thetaC4, True, 2),
+    ):
+        if xi != 0.0:
+            row, tail = _truncated_bessel(float(xi))
+            roots += math.sqrt(tail)
+            rows.append(_dilate(_times_i_powers(row) if i_powers else row, step))
+    residual = roots**2
     if not residual < tolerance:
         raise TruncationError(f"cannot reach tolerance {tolerance:g} for phases {phases}")
-    conv = _convolve_rows((
-        _times_i_powers(t0),
-        a2,
-        _dilate(a4),
-        _dilate(_times_i_powers(c4)),
-    ))
+    conv = _convolve_rows(rows) if rows else np.ones(1, complex)
     # strip end pairs that underflowed to exactly 0 (some amplitude is not)
     lo, hi = 0, len(conv) - 1
     while conv[lo] == 0 and conv[hi] == 0:
@@ -442,7 +440,7 @@ def phase_grating_oracle(
     x = np.arange(m) * (2.0 * math.pi / model.k_L) / m
     phase = evaluate_potential(model, x) * (tau / HBAR)
     coeff = np.fft.fft(np.exp(1j * phase)) / m
-    gp = model.fourier.c_dc * tau / HBAR
+    gp = _mean(model) * tau / HBAR
     coeff = coeff * np.exp(-1j * gp)
 
     odd_leakage = float(np.max(np.abs(coeff[1::2])))

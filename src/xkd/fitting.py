@@ -124,22 +124,23 @@ class ObservedPattern:
 
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "ObservedPattern":
-        """Read a header-led CSV with columns order, intensity[, weight]."""
+        """Read a CSV headed exactly order,intensity[,weight], each row as wide as its header."""
         rows = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["order", "intensity"]:
+            header = [h.strip() for h in next(reader, [])]
+            if header not in (["order", "intensity"], ["order", "intensity", "weight"]):
                 raise ValueError(f"{path}: expected header 'order,intensity[,weight]'")
-            has_weight = len(header) >= 3 and header[2].strip() == "weight"
             for line_no, rec in enumerate(reader, start=2):
                 if not rec:
                     continue
+                if len(rec) != len(header):
+                    raise ValueError(f"{path}:{line_no}: row {rec!r} needs {len(header)} cells")
                 try:
                     q = int(rec[0])
                     intensity = float(rec[1])
-                    weight = float(rec[2]) if has_weight and len(rec) > 2 else 1.0
-                except (ValueError, IndexError) as exc:
+                    weight = float(rec[2]) if len(rec) > 2 else 1.0
+                except ValueError as exc:
                     raise ValueError(f"{path}:{line_no}: bad row {rec!r}") from exc
                 rows.append((q, intensity, weight))
         try:

@@ -13,8 +13,8 @@ instead and average away, however large they are while the field is on;
 :func:`time_average` demonstrates both facts numerically.
 
 The trigonometric expansion of the three spatial profiles gives five Fourier
-coefficients (a DC term plus harmonics at 2k and 4k); :class:`PotentialModel`
-carries the coefficient set and guarantees the identities between them.
+coefficients (a DC term plus harmonics at 2k and 4k), all fixed by U0, UA and
+UC, so :class:`PotentialModel` keeps only those three depths and k_L.
 
 All quantities are SI; Gaussian-convention field conversions happen only in
 :mod:`xkd.constants`.
@@ -26,8 +26,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -108,31 +108,17 @@ class LaserGrating:
         return field_amplitude_squared(self.intensity)
 
 
-class FourierCoefficients(NamedTuple):
-    """Coefficients of U(X) = c_dc + c_cos2 cos(2kX) + c_sin2 sin(2kX)
-    + c_sin4 sin(4kX) + c_cos4 cos(4kX), all in joules."""
-
-    c_dc: float
-    c_cos2: float
-    c_sin2: float
-    c_sin4: float
-    c_cos4: float
-
-
 @dataclass(frozen=True)
 class PotentialModel:
-    """Periodic potential with its five-term Fourier decomposition.
+    """Periodic potential U0 cos^2(kX) + UA cos^3(kX) sin(kX) + UC cos^2(kX) sin^2(kX).
 
-    The coefficients are derived, not free: c_dc = U0/2 + UC/8,
-    c_cos2 = U0/2, c_sin2 = UA/4, c_sin4 = UA/8, c_cos4 = -UC/8.
-    With UA = UC = 0 the model is exactly U0 cos^2(k_L X).
+    With UA = UC = 0 it is exactly U0 cos^2(k_L X).
     """
 
     U0: float       # J
     UA: float       # J
     UC: float       # J
     k_L: float      # 1/m
-    fourier: FourierCoefficients = field(init=False)
 
     def __post_init__(self):
         for name in ("U0", "UA", "UC", "k_L"):
@@ -140,17 +126,6 @@ class PotentialModel:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.k_L > 0:
             raise ValueError(f"k_L must be > 0, got {self.k_L}")
-        object.__setattr__(
-            self,
-            "fourier",
-            FourierCoefficients(
-                c_dc=self.U0 / 2.0 + self.UC / 8.0,
-                c_cos2=self.U0 / 2.0,
-                c_sin2=self.UA / 4.0,
-                c_sin4=self.UA / 8.0,
-                c_cos4=-self.UC / 8.0,
-            ),
-        )
 
 
 def lightshift_depth(atom: AtomSpecies, laser: LaserGrating) -> float:
@@ -182,21 +157,29 @@ def quadrupole_scales(atom: AtomSpecies, laser: LaserGrating) -> tuple[float, fl
 
 
 def build_potential(U0: float, UA: float, UC: float, k_L: float) -> PotentialModel:
-    """Assemble a PotentialModel; coefficients follow from the invariants."""
+    """Assemble a PotentialModel from its three depths and wavevector."""
     return PotentialModel(U0=U0, UA=UA, UC=UC, k_L=k_L)
+
+
+def _mean(model: PotentialModel) -> float:
+    """The DC Fourier term U0/2 + UC/8, in J."""
+    return model.U0 / 2.0 + model.UC / 8.0
 
 
 def evaluate_potential(model: PotentialModel, X):
     """Potential at position(s) X in metres, in J.  An array comes back as an
-    array; a scalar comes back as ``np.float64``, which is a ``float``."""
-    f = model.fourier
+    array; a scalar comes back as ``np.float64``, which is a ``float``.
+
+    The five Fourier coefficients are derived, not free: U(X) = (U0/2 + UC/8)
+    + U0/2 cos(2kX) + UA/4 sin(2kX) + UA/8 sin(4kX) - UC/8 cos(4kX).
+    """
     phase = 2.0 * model.k_L * np.asarray(X, dtype=float)
     return (
-        f.c_dc
-        + f.c_cos2 * np.cos(phase)
-        + f.c_sin2 * np.sin(phase)
-        + f.c_sin4 * np.sin(2.0 * phase)
-        + f.c_cos4 * np.cos(2.0 * phase)
+        _mean(model)
+        + model.U0 / 2.0 * np.cos(phase)
+        + model.UA / 4.0 * np.sin(phase)
+        + model.UA / 8.0 * np.sin(2.0 * phase)
+        - model.UC / 8.0 * np.cos(2.0 * phase)
     )
 
 

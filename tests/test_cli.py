@@ -122,6 +122,23 @@ class TestPattern:
         assert cli.main(["pattern", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
 
 
+    @pytest.mark.parametrize("extra, stray, source", [
+        ({"U0_eV": -0.0013, "intensity_W_m2": 1e20, "spot_radius_m": 5, "catalog": "nope.json"},
+         "'intensity_W_m2', 'spot_radius_m', 'catalog'", "'U0_eV'"),
+        ({"U0_eV": -0.0013, "catalog": "nope.json"}, "'catalog'", "'U0_eV'"),
+        ({"atom": "demo", "intensity_W_m2": 1.9e14, "UA_eV": 1e-4}, "'UA_eV'", "'atom'"),
+        ({"atom": "demo", "intensity_W_m2": 1.9e14, "UC_eV": 0.0}, "'UC_eV'", "'atom'"),
+    ])
+    def test_keys_of_the_other_source_exit_one(self, tmp_path, capsys, extra, stray, source):
+        # each source's keys would be ignored silently under the other one
+        cfg = write_json(tmp_path / "p.json", {"wavelength_m": 5e-10, "tau_s": 1e-12, **extra})
+        out = tmp_path / "x.csv"
+        assert cli.main(["pattern", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"key {stray} does not go with key {source}" in err, err
+        assert not out.exists()
+
+
 class TestPlan:
     def test_feasible_scenario_exits_zero(self, tmp_path, capsys):
         cfg = plan_config(tmp_path)
@@ -296,6 +313,16 @@ class TestFit:
         out = tmp_path / "fit_report.json"
         assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 2
         assert json.loads(out.read_text())["converged"] is False
+
+    def test_misspelt_weight_column_exits_one_naming_the_csv(self, tmp_path, capsys):
+        csv_path = tmp_path / "obs.csv"
+        csv_path.write_text("order,intensity,weigth\n0,0.5,1\n2,0.25,1e-9\n-2,0.25,1\n")
+        cfg = write_json(tmp_path / "fit.json",
+                         {"observations_csv": str(csv_path), "model": "dipole"})
+        out = tmp_path / "fit_report.json"
+        assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 1
+        assert f"{csv_path}: expected header 'order,intensity[,weight]'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_observations_file(self, tmp_path, capsys):
         cfg = write_json(

@@ -211,8 +211,8 @@ class TestQuadrupolePattern:
             quadrupole_pattern(PhaseSet(0.5, 1e7))
 
     def test_truncation_failure_builds_the_rows_once(self, monkeypatch):
-        # the theta0 row discards 7.9e-25, above 1e-30: each of the four rows
-        # is built once, at the rule's N, and the pattern fails
+        # the theta0 row discards 7.9e-25, above 1e-30: the one nonzero
+        # phase's row is built once, at the rule's N, and the pattern fails
         calls = []
         row = diffraction._truncated_bessel
 
@@ -223,7 +223,7 @@ class TestQuadrupolePattern:
         monkeypatch.setattr(diffraction, "_truncated_bessel", counting)
         with pytest.raises(TruncationError, match="cannot reach tolerance 1e-30"):
             quadrupole_pattern(PhaseSet(9000.0), tolerance=1e-30)
-        assert calls == [9000.0, 0.0, 0.0, 0.0]
+        assert calls == [9000.0]
 
     def test_residual_sums_the_row_tails(self):
         # (sum_i sqrt t_i)^2 over the four rows' discarded tails
@@ -307,21 +307,23 @@ class TestConvolutionPaths:
         assert abs(direct.truncation_residual - fft.truncation_residual) <= 1e-14
 
     def test_zero_phase_rows_keep_the_bytes_of_convolving_with_one(self):
-        # the direct path skips a zero phase's row [1]; the amplitudes must
-        # keep the bytes of the explicit convolution with [1], signed zeros
-        # included, and of the window cut at the outermost nonzero order
+        # a zero phase gets no row; the amplitudes must keep the bytes of the
+        # explicit convolution of all four combs, [1] for each zero phase,
+        # signed zeros included, and of the window cut at the outermost
+        # nonzero order (a first row left real would break this: numpy sums
+        # a real convolution in another order)
         rng = np.random.default_rng(27)
         for _ in range(300):
             draws = rng.uniform(-4.0, 4.0, 3) * 10.0 ** rng.uniform(-3.0, 0.0, 3)
             theta0, a2, c4 = np.where(rng.random(3) < 0.5, 0.0, draws)
             phases = PhaseSet(float(theta0), float(a2), thetaC4=float(c4))
             t0, ra2, ra4, rc4 = (
-                diffraction._truncated_bessel(xi)[0]
+                diffraction._truncated_bessel(xi)[0] if xi != 0.0 else np.array([1.0])
                 for xi in (phases.theta0, phases.thetaA2, phases.thetaA4, phases.thetaC4)
             )
             conv = diffraction._times_i_powers(t0)
-            for other in (ra2, diffraction._dilate(ra4),
-                          diffraction._dilate(diffraction._times_i_powers(rc4))):
+            for other in (ra2, diffraction._dilate(ra4, 2),
+                          diffraction._dilate(diffraction._times_i_powers(rc4), 2)):
                 conv = np.convolve(conv, other)
             h = len(conv) // 2
             k = int(np.max(np.abs(np.flatnonzero(conv) - h)))

@@ -171,6 +171,26 @@ class TestObservedPattern:
         with pytest.raises(ValueError, match=":3"):
             ObservedPattern.from_csv(path)
 
+    @pytest.mark.parametrize("text, where", [
+        # a misspelt weight column would read every weight as 1.0
+        ("order,intensity,weigth\n0,0.5,1\n2,0.25,1e-9\n", r"obs\.csv: expected header"),
+        ("order,intensity,weight,note\n0,0.5,1,a\n", r"obs\.csv: expected header"),
+        # a row short of its weight cell, and rows with cells the header lacks
+        ("order,intensity,weight\n0,0.5,1\n\n2,0.25\n", r"obs\.csv:4: .* needs 3 cells"),
+        ("order,intensity,weight\n0,0.5,1\n2,0.25,1e-9,7\n", r"obs\.csv:3: .* needs 3 cells"),
+        ("order,intensity\n0,0.5\n2,0.25,1e-9\n", r"obs\.csv:3: .* needs 2 cells"),
+    ])
+    def test_csv_weights_are_never_dropped(self, tmp_path, text, where):
+        path = tmp_path / "obs.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=where):
+            ObservedPattern.from_csv(path)
+
+    def test_csv_header_cells_are_stripped_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text(" order , intensity , weight \n0,0.5,1\n\n2,0.25,1e-9\n")
+        assert list(ObservedPattern.from_csv(path).weights) == [1.0, 1e-9]
+
 
 class TestFitDipole:
     def test_round_trip_unit_phase(self):

@@ -1,16 +1,17 @@
 """Byte-for-byte checks of shipped outputs against captured reference files.
 
-``tests/data`` holds the report of ``xkd verify --seed 7``, the JSON of
-``xkd fit --config configs/fit_dipole.json``, what ``xkd pattern`` writes
-for both shipped pattern configs (CSV, ``--plot`` SVG, JSON, and stdout with
-the out path replaced by ``OUT``), what ``xkd plan`` writes for
-``configs/plan_xray.json`` (JSON and stdout), and ``quadrupole_fits.json``:
-the ``repr`` of every ``FitResult`` field of seven quadrupole fits (the three
-inside ``run_checks(7)``, three noisy sets of the benchmark's ``fit``
-generator at seed 801, and one fit whose trial steps leave a narrowed phase
-range), with the inputs of the last four.  A change that is meant to leave
-behaviour alone (a speed-up, a refactor) must leave these bytes alone; one
-that moves them on purpose recaptures the files and says why.
+``tests/data`` holds the reports of ``xkd verify --seed`` 0, 3, 7 and 11,
+the JSON of ``xkd fit --config configs/fit_dipole.json``, what
+``xkd pattern`` writes for both shipped pattern configs (CSV, ``--plot``
+SVG, JSON, and stdout with the out path replaced by ``OUT``), what
+``xkd plan`` writes for ``configs/plan_xray.json`` (JSON and stdout), and
+``quadrupole_fits.json``: the ``repr`` of every ``FitResult`` field of
+seven quadrupole fits (the three inside ``run_checks(7)``, three noisy sets
+of the benchmark's ``fit`` generator at seed 801, and one fit whose trial
+steps leave a narrowed phase range), with the inputs of the last four.  A
+change that is meant to leave behaviour alone (a speed-up, a refactor) must
+leave these bytes alone; one that moves them on purpose recaptures the
+files and says why.
 """
 
 import dataclasses
@@ -27,10 +28,11 @@ DATA = ROOT / "tests" / "data"
 FITS = json.loads((DATA / "quadrupole_fits.json").read_text())
 
 
-def test_verify_seed_7_report_is_byte_identical(tmp_path, capsys):
+@pytest.mark.parametrize("seed", [0, 3, 7, 11])
+def test_verify_report_is_byte_identical(seed, tmp_path, capsys):
     out = tmp_path / "verify.txt"
-    assert cli.main(["verify", "--seed", "7", "--out", str(out)]) == 0
-    expected = (DATA / "verify_seed7.txt").read_bytes()
+    assert cli.main(["verify", "--seed", str(seed), "--out", str(out)]) == 0
+    expected = (DATA / f"verify_seed{seed}.txt").read_bytes()
     assert out.read_bytes() == expected
     assert capsys.readouterr().out.encode() == expected
 

@@ -107,29 +107,33 @@ class TestQuadrupoleScales:
 
 class TestPotentialModel:
     def test_dipole_only_coefficients(self):
+        # c_dc = c_cos2 = U0/2 and no other term: U0 cos^2 = U0/2 (1 + cos 2kX)
         m = build_potential(-3e-22, 0.0, 0.0, 1e10)
-        assert m.fourier.c_dc == -1.5e-22
-        assert m.fourier.c_cos2 == -1.5e-22
-        assert m.fourier.c_sin2 == 0.0
-        assert m.fourier.c_sin4 == 0.0
-        assert m.fourier.c_cos4 == 0.0
+        x = np.linspace(-3e-10, 3e-10, 101)
+        assert np.array_equal(evaluate_potential(m, x), -1.5e-22 + -1.5e-22 * np.cos(2e10 * x))
+        assert evaluate_potential(m, 0.0) == -3e-22
 
     def test_a_only_coefficients(self):
+        # c_sin2 = UA/4, c_sin4 = UA/8 and no other term, the DC one included
         m = build_potential(0.0, 8e-23, 0.0, 1e10)
-        assert m.fourier.c_sin2 == 2e-23
-        assert m.fourier.c_sin4 == 1e-23
-        assert m.fourier.c_dc == 0.0
-        assert m.fourier.c_cos2 == 0.0
-        assert m.fourier.c_cos4 == 0.0
+        x = np.linspace(-3e-10, 3e-10, 101)
+        phase = 2e10 * x
+        expected = 2e-23 * np.sin(phase) + 1e-23 * np.sin(2.0 * phase)
+        assert np.array_equal(evaluate_potential(m, x), expected)
+        assert evaluate_potential(m, 0.0) == 0.0
 
     def test_coefficient_identities(self):
+        # the five coefficients read off a DFT over one period pi/k of the
+        # 2kX harmonic: c_dc = U0/2 + UC/8, c_cos2 = U0/2, c_sin2 = UA/4,
+        # c_sin4 = UA/8, c_cos4 = -UC/8
         m = build_potential(-2e-22, 5e-23, 3e-23, 1e10)
-        f = m.fourier
-        assert f.c_dc == m.U0 / 2 + m.UC / 8
-        assert f.c_cos2 == m.U0 / 2
-        assert f.c_sin2 == m.UA / 4
-        assert f.c_sin4 == m.UA / 8
-        assert f.c_cos4 == -m.UC / 8
+        n = 64
+        spectrum = np.fft.fft(evaluate_potential(m, np.arange(n) * (math.pi / 1e10) / n)) / n
+        got = [spectrum[0].real, 2 * spectrum[1].real, -2 * spectrum[1].imag,
+               -2 * spectrum[2].imag, 2 * spectrum[2].real]
+        expected = [m.U0 / 2 + m.UC / 8, m.U0 / 2, m.UA / 4, m.UA / 8, -m.UC / 8]
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * abs(m.U0))
+        assert np.max(np.abs(spectrum[3 : n - 2])) <= 1e-12 * abs(m.U0)
 
     def test_fourier_equals_raw_trigonometric_form(self):
         # brute-force pointwise oracle: the un-decomposed product form
