@@ -1,12 +1,11 @@
 """Atom diffraction from standing-wave light gratings at atom-scale wavelengths.
 
 Subpackages: :mod:`xkd.potentials` (interaction potential and species
-catalog), :mod:`xkd.diffraction` (analytic Bessel engines plus an
-independent Fourier oracle), :mod:`xkd.feasibility` (experiment planning
-estimates and pass/fail flags), :mod:`xkd.fitting` (phase and
-polarizability recovery from measured peak intensities, by damped
-Gauss-Newton on a model that takes one FFT of the exit wave per
-evaluation), :mod:`xkd.cli` (the ``xkd`` command).
+catalog), :mod:`xkd.diffraction` (Bessel-row patterns, one FFT of the exit
+wave that long patterns and the fits share, and an independent Fourier
+oracle), :mod:`xkd.feasibility` (planning estimates and pass/fail flags),
+:mod:`xkd.fitting` (phase and polarizability recovery from measured peak
+intensities by damped Gauss-Newton), :mod:`xkd.cli` (the ``xkd`` command).
 
 Everything is a pure function of immutable inputs; there is no global
 mutable state and no cache anywhere, so concurrent use needs no

@@ -159,6 +159,9 @@ def _write_json(path: str, payload: dict):
 
 
 def cmd_pattern(args: argparse.Namespace) -> int:
+    svg = os.path.splitext(args.out)[0] + ".svg"
+    if args.plot and svg == args.out:
+        raise ValueError(f"--out {args.out}: --plot would write its chart over it")
     doc = _known(_read_object(args.config), args.config, _PATTERN_KEYS)
     pattern = _pattern(doc, args.config)
     if args.out.endswith(".json"):
@@ -166,7 +169,7 @@ def cmd_pattern(args: argparse.Namespace) -> int:
     else:
         _write(args.out, diffraction.intensities_csv(pattern))
     if args.plot:
-        _write(os.path.splitext(args.out)[0] + ".svg", _pattern_svg(pattern))
+        _write(svg, _pattern_svg(pattern))
     print(
         f"pattern: {len(pattern.orders)} orders up to |q| = "
         f"{pattern.truncation_order}, truncation residual "
@@ -271,7 +274,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                   for key in ("wavelength_m", "intensity_W_m2", "tau_s")),
                 _need(laser_doc, "spot_radius_m", laser_where, default=1e-6, positive=True),
             )
-            estimate = fitting.polarizability_estimates(result, laser, laser.pulse_duration)
+            estimate = fitting.polarizability_estimates(result, laser)
         payload["polarizabilities"] = dataclasses.asdict(estimate)
     _write_json(args.out, payload)
 
@@ -295,6 +298,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _write(args.out, text)
     sys.stdout.write(text)
     return 0 if all(c.passed for c in checks) else 3
+
+
+def _seed(text: str) -> int:
+    if not text.isdecimal():  # the digits int() reads, with no sign
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -330,7 +339,7 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--out", required=True, help="fit report JSON")
 
     p_verify = sub.add_parser("verify", help="run the seeded self-check suite")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument("--out", default=None, help="report text file")
 
     return parser

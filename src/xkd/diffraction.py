@@ -16,9 +16,9 @@ amplitude at order q becomes a four-fold convolution
 
 evaluated here as the 1-D convolution of the truncated Bessel rows of the
 nonzero phases, one engine for both cases: a zero phase's comb is the
-factor 1 and gets no row, and long rows are combined in one product of
-zero-padded FFTs (see :func:`_fft_pays`).  Only even q ever appear (the
-potential contains only the 2k_L and 4k_L harmonics).
+factor 1 and gets no row.  Long convolutions (:func:`_fft_pays`) give way
+to one FFT of the sampled exit wave, the fits' model.  Only even q ever
+appear (the potential contains only the 2k_L and 4k_L harmonics).
 
 Conventions:
 
@@ -220,8 +220,8 @@ class DiffractionPattern:
     q = -2h..2h (units of k_L, relative to the incident beam), from which
     ``orders``, ``truncation_order`` = 2h and the |amplitude|^2
     ``intensities`` derive.  ``truncation_residual`` is a leading-order
-    bound on sum_q |A(q) - A_exact(q)|^2 (Bessel engine) or the discarded
-    probability (oracle).  ``odd_leakage`` is filled by the Fourier oracle
+    bound on sum_q |A(q) - A_exact(q)|^2 (Bessel rows) or the discarded
+    probability (exit wave, oracle).  ``odd_leakage`` is filled by the oracle
     with the largest amplitude it saw on any odd order (an
     internal-consistency diagnostic; analytic engines report 0).  Patterns
     compare and hash by identity: two patterns with equal values differ.
@@ -314,40 +314,51 @@ def _dilate(row: np.ndarray, step: int) -> np.ndarray:
     return out
 
 
-# the direct path stays below this many multiply-adds, whatever the FFT
-# would cost; it sits far above every verify and fit input and the shipped
-# configs, so their amplitudes keep the direct path's exact bytes
+# the direct path stays below this many multiply-adds; the floor sits far
+# above every verify and fit input and the shipped configs, so their
+# amplitudes keep the direct path's exact bytes
 _FFT_MIN_DIRECT = 2e5
 
 
 def _fft_pays(lengths) -> bool:
-    """Whether one FFT product beats successive direct convolutions.
-
-    The direct path costs sum la*lb multiply-adds over the successive
-    products; the FFT path costs about 10 m log2 m for padded length m.
-    """
+    """Whether the successive direct convolutions of rows of these lengths
+    cost more than ``_FFT_MIN_DIRECT`` multiply-adds (sum la*lb)."""
     direct = 0
     span = lengths[0]
     for n in lengths[1:]:
         direct += span * n
         span += n - 1
-    m = 1 << (span - 1).bit_length()
-    return direct > _FFT_MIN_DIRECT and direct > 10.0 * m * math.log2(m)
+    return direct > _FFT_MIN_DIRECT
 
 
-def _convolve_rows(rows) -> np.ndarray:
-    """Full linear convolution of the rows, direct or by one FFT product."""
-    if not _fft_pays([len(r) for r in rows]):
-        conv = rows[0] + 0j  # numpy sums a real convolution in another order
-        for other in rows[1:]:
-            conv = np.convolve(conv, other)
-        return conv + 0.0  # no signed zeros, as if convolved with a zero phase's [1]
-    span = sum(len(r) for r in rows) - len(rows) + 1
-    m = 1 << (span - 1).bit_length()
-    spectrum = np.fft.fft(rows[0], m)
-    for other in rows[1:]:
-        spectrum *= np.fft.fft(other, m)
-    return np.fft.ifft(spectrum)[:span]
+def _support(theta0: float, thetaA2: float, thetaC4: float) -> int:
+    """Half-orders H = h + 2 on which the exit wave's coefficients are read.
+
+    a = R2 + 2 R4 bounds the exit phase's slope, so the coefficients die
+    past about a half-orders as J_n(a) does, and h is the Bessel truncation
+    rule at a; the 2 covers the fits' Jacobian shifts by two half-orders.
+    """
+    a = math.hypot(theta0, thetaA2) + 2.0 * math.hypot(0.5 * thetaA2, thetaC4)
+    return _truncation_order(a) + 2
+
+
+def _exit_wave(theta0: float, thetaA2: float, thetaC4: float) -> tuple[np.ndarray, int]:
+    """Coefficients of the exit wave and its support H (:func:`_support`).
+
+    One FFT of exp(i[theta0 cos u + thetaA2 (sin u + sin 2u / 2) +
+    thetaC4 cos 2u]) sampled on M points, M the next power of two above
+    2 H + 1: the trapezoidal rule on a periodic analytic function, so the
+    aliasing error dies super-exponentially.  A(q) sits at index (q/2) mod
+    M.  A phase beyond the engine's range raises PhaseRangeError.
+    """
+    for xi in (theta0, thetaA2, thetaC4):
+        _check_phase(xi)
+    half = _support(theta0, thetaA2, thetaC4)
+    m = 1 << (2 * half + 1).bit_length()
+    u = np.arange(m) * (2.0 * math.pi / m)
+    c, s = np.cos(u), np.sin(u)
+    phase = theta0 * c + thetaA2 * s * (1.0 + c) + thetaC4 * (c - s) * (c + s)
+    return np.fft.fft(np.exp(1j * phase)) / m, half
 
 
 def dipole_pattern(theta0: float, tolerance: float = 1e-10) -> DiffractionPattern:
@@ -373,38 +384,49 @@ def quadrupole_pattern(phases: PhaseSet, tolerance: float = 1e-10) -> Diffractio
     the tails t_i of the rows built.  Each comb is a unit-modulus factor of
     the exit wave, so swapping them one at a time for their truncations
     telescopes: to leading order this bounds sum_q |A(q) - A_exact(q)|^2.
-    TruncationError is raised unless it is below ``tolerance``.
 
-    Long rows (phases from a few tens of radians up) are combined in one FFT
-    product instead, chosen from the row lengths alone by
-    :func:`_fft_pays`.  That path is accurate to ~1e-16 absolute per
-    amplitude; where the direct path would give exact zeros (a row that
-    underflowed) it leaves rounding noise of that size, so such patterns
-    can carry a few more orders, each below 1e-15 in magnitude.
+    Where the rows' direct convolutions would pass 2e5 multiply-adds
+    (:func:`_fft_pays`; phases from a few tens of radians up) the
+    amplitudes are read off :func:`_exit_wave` instead, on its window
+    -H..H and accurate to about |phase| 2^-53 each; ``truncation_residual``
+    is then the power outside that window.  TruncationError is raised
+    unless the residual is below ``tolerance``.
     """
     _check_tolerance(tolerance)
-    rows, roots = [], 0.0
     # the cosine harmonics carry i^n; the 4k_L combs sit on every other site
-    for xi, i_powers, step in (
-        (phases.theta0, True, 1),
-        (phases.thetaA2, False, 1),
-        (phases.thetaA4, False, 2),
-        (phases.thetaC4, True, 2),
-    ):
-        if xi != 0.0:
-            row, tail = _truncated_bessel(float(xi))
+    combs = [
+        (float(xi), i_powers, step)
+        for xi, i_powers, step in (
+            (phases.theta0, True, 1),
+            (phases.thetaA2, False, 1),
+            (phases.thetaA4, False, 2),
+            (phases.thetaC4, True, 2),
+        )
+        if xi != 0.0
+    ]
+    if combs and _fft_pays([2 * step * _truncation_order(abs(xi)) + 1 for xi, _, step in combs]):
+        spectrum, half = _exit_wave(phases.theta0, phases.thetaA2, phases.thetaC4)
+        outside = spectrum[half + 1 : -half]
+        residual = float(np.sum(outside.real**2 + outside.imag**2))
+        amplitudes = np.concatenate((spectrum[-half:], spectrum[: half + 1]))
+    else:
+        conv, roots = np.ones(1, complex), 0.0
+        for k, (xi, i_powers, step) in enumerate(combs):
+            row, tail = _truncated_bessel(xi)
             roots += math.sqrt(tail)
-            rows.append(_dilate(_times_i_powers(row) if i_powers else row, step))
-    residual = roots**2
+            row = _dilate(_times_i_powers(row) if i_powers else row, step)
+            # a complex first row: numpy sums a real convolution in another order
+            conv = np.convolve(conv, row) if k else row + 0j
+        residual = roots**2
+        # strip end pairs that underflowed to exactly 0 (some amplitude is not)
+        lo, hi = 0, len(conv) - 1
+        while conv[lo] == 0 and conv[hi] == 0:
+            lo, hi = lo + 1, hi - 1
+        amplitudes = conv[lo : hi + 1] + 0.0  # no signed zeros
     if not residual < tolerance:
         raise TruncationError(f"cannot reach tolerance {tolerance:g} for phases {phases}")
-    conv = _convolve_rows(rows) if rows else np.ones(1, complex)
-    # strip end pairs that underflowed to exactly 0 (some amplitude is not)
-    lo, hi = 0, len(conv) - 1
-    while conv[lo] == 0 and conv[hi] == 0:
-        lo, hi = lo + 1, hi - 1
     return DiffractionPattern(
-        amplitudes=conv[lo : hi + 1],
+        amplitudes=amplitudes,
         truncation_residual=residual,
         global_phase=float(phases.global_phase),
     )

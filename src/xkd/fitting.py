@@ -3,10 +3,8 @@
 The forward model is the exit wave
 ``psi(u) = exp(i[theta0 cos u + thetaA2 (sin u + sin 2u / 2) + thetaC4 cos 2u])``,
 whose coefficient at ``exp(i q u / 2)`` is the amplitude A(q) of order q.
-One FFT of psi sampled on a power of two of points gives every A(q) (the
-trapezoidal rule on a periodic analytic function, so the aliasing error
-dies super-exponentially with the grid); the Bessel engines of
-:mod:`xkd.diffraction` agree with it to rounding.  Fitting is weighted
+One FFT of psi (:func:`xkd.diffraction._exit_wave`, which long patterns
+also read) gives every A(q).  Fitting is weighted
 least squares on the per-order intensities by Gauss-Newton with Marquardt
 damping (smooth, low-dimensional problem; an accepted step never
 increases the weighted residual, and a rejected one is retried with more
@@ -126,7 +124,7 @@ class ObservedPattern:
     def from_csv(cls, path: str | os.PathLike) -> "ObservedPattern":
         """Read a CSV headed exactly order,intensity[,weight], each row as wide as its header."""
         rows = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # Excel writes a BOM
             reader = csv.reader(fh)
             header = [h.strip() for h in next(reader, [])]
             if header not in (["order", "intensity"], ["order", "intensity", "weight"]):
@@ -180,38 +178,12 @@ DAMPING_UP = 4.0            # multiplies it after a rejected one
 MAX_REJECTIONS = 60         # in a row, before the fit stops
 
 
-def _support(phases) -> int:
-    """Half-orders h + 2 on which the exit wave's coefficients are read.
-
-    a = R2 + 2 R4 bounds the exit phase's slope, so the coefficients die
-    past about a half-orders as J_n(a) does, and h is the Bessel truncation
-    rule at a; the 2 covers the Jacobian's shifts by up to two half-orders.
-    """
-    theta0, theta_a2, theta_c4 = phases
-    a = math.hypot(theta0, theta_a2) + 2.0 * math.hypot(0.5 * theta_a2, theta_c4)
-    return diffraction._truncation_order(a) + 2
-
-
 def _amplitudes(phases, qs: np.ndarray) -> np.ndarray:
-    """A(q) at the even orders ``qs`` (any shape) for (theta0, thetaA2, thetaC4).
-
-    One FFT of the exit wave sampled on M points, M the next power of two
-    above 2 H + 1 for H = :func:`_support`; A(q) is the coefficient at index
-    (q/2) mod M.  Orders with |q|/2 > H read exactly 0, so they never
-    enlarge M.  A phase beyond the engine's range raises PhaseRangeError.
-    """
-    for xi in phases:
-        diffraction._check_phase(xi)
-    theta0, theta_a2, theta_c4 = phases
-    half = _support(phases)
-    m = 1 << (2 * half + 1).bit_length()
-    u = np.arange(m) * (2.0 * math.pi / m)
-    c, s = np.cos(u), np.sin(u)
-    # theta0 cos u + thetaA2 (sin u + sin 2u / 2) + thetaC4 cos 2u
-    phase = theta0 * c + theta_a2 * s * (1.0 + c) + theta_c4 * (c - s) * (c + s)
-    spectrum = np.fft.fft(np.exp(1j * phase)) / m
+    """A(q) at the even orders ``qs`` (any shape) for (theta0, thetaA2, thetaC4);
+    orders with |q|/2 > H read exactly 0, so they never enlarge the grid."""
+    spectrum, half = diffraction._exit_wave(*phases)
     k = qs // 2
-    return np.where(np.abs(k) <= half, spectrum[k % m], 0.0)
+    return np.where(np.abs(k) <= half, spectrum[k % len(spectrum)], 0.0)
 
 
 def _with_jacobian(phases, orders: np.ndarray, n_params: int):
@@ -444,7 +416,7 @@ def equivalent_triples(
     found = [(theta0, thetaA2, thetaC4)]
     # every candidate has the input's R2 and R4, so the input's support
     # covers its pattern too
-    half = _support(found[0])
+    half = diffraction._support(*found[0])
     qs = 2 * np.arange(-half, half + 1)
 
     def intensities(triple):
@@ -502,9 +474,7 @@ class PolarizabilityEstimate:
     C_sigma: float | None
 
 
-def polarizability_estimates(
-    result: FitResult, laser: LaserGrating, tau: float
-) -> PolarizabilityEstimate:
+def polarizability_estimates(result: FitResult, laser: LaserGrating) -> PolarizabilityEstimate:
     """Invert the phase definitions for alpha, A_dq and C_qq, taking alpha > 0.
 
     U0 = -alpha E0^2/4 then makes the true theta0 = U0 tau / 2 hbar negative,
@@ -513,8 +483,7 @@ def polarizability_estimates(
     propagate the fit's sigmas to first order (a dipole fit has none for
     A_dq and C_qq, so those are None).
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    tau = laser.pulse_duration  # the interaction time
     if not laser.intensity > 0:
         raise ValueError("laser intensity must be > 0 to recover polarizabilities")
     e0_sq = laser.E0_squared

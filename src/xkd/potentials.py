@@ -254,7 +254,7 @@ def _known(doc: dict, where: str, keys: frozenset) -> dict:
 
 def _read_object(path: str | os.PathLike) -> dict:
     """The JSON object in the file at ``path`` (a config or a catalog)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is not JSON
         try:
             doc = json.load(fh)
         except ValueError as exc:  # also bytes that are not UTF-8

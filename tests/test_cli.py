@@ -108,6 +108,25 @@ class TestPattern:
         svg = (tmp_path / "pattern_doc.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
+    def test_plot_onto_the_out_file_exits_one(self, tmp_path, capsys):
+        # the chart would overwrite the pattern written to --out
+        cfg = dipole_config(tmp_path, theta0=0.7)
+        out = tmp_path / "pattern.svg"
+        assert cli.main(["pattern", "--config", cfg, "--out", str(out), "--plot"]) == 1
+        assert f"--out {out}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_with_a_byte_order_mark(self, tmp_path):
+        cfg = dipole_config(tmp_path, theta0=0.7)
+        text = Path(cfg).read_text(encoding="utf-8")
+        marked = tmp_path / "marked.json"
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf{")
+        outs = [tmp_path / "plain.csv", tmp_path / "marked.csv"]
+        for path, out in zip((cfg, str(marked)), outs):
+            assert cli.main(["pattern", "--config", path, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_exclusive_potential_sources(self, tmp_path):
         cfg = write_json(
             tmp_path / "p.json",
@@ -467,6 +486,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 1
+
+    def test_negative_seed_names_the_key(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--seed", "-1"])
+        assert exc.value.code == 1
+        assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

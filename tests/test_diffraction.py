@@ -1,5 +1,6 @@
 """Analytic pattern engines against the Fourier oracle and frozen values."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -225,20 +226,50 @@ class TestQuadrupolePattern:
             quadrupole_pattern(PhaseSet(9000.0), tolerance=1e-30)
         assert calls == [9000.0]
 
-    def test_residual_sums_the_row_tails(self):
-        # (sum_i sqrt t_i)^2 over the four rows' discarded tails
+    def test_residual_sums_the_row_tails(self, monkeypatch):
+        # direct path: (sum_i sqrt t_i)^2 over the four rows' discarded
+        # tails; exit-wave path: the power the FFT puts outside the window
         rng = np.random.default_rng(5)
+        paths = []
         for _ in range(40):
             # three free phases; the PhaseSet derives thetaA4
             t0, a2, c4 = (float(v) for v in rng.uniform(-2.0, 2.0, 3) ** 5 * 300.0)
             phases = PhaseSet(t0, a2, thetaC4=c4)
-            p = quadrupole_pattern(phases)
+            p, fft = pattern_on_path(monkeypatch, phases)
+            paths.append(fft)
+            assert p.truncation_residual >= 0.0, phases
+            if fft:
+                total = float(np.sum(p.intensities))
+                assert abs(1.0 - total - p.truncation_residual) <= 1e-14, phases
+                continue
             tails = [
                 diffraction._truncated_bessel(xi)[1]
                 for xi in (phases.theta0, phases.thetaA2, phases.thetaA4, phases.thetaC4)
             ]
             assert p.truncation_residual == sum(np.sqrt(t) for t in tails) ** 2, phases
-            assert p.truncation_residual >= 0.0, phases
+        assert True in paths and False in paths
+
+    def test_exit_wave_path_against_a_30_digit_dft(self):
+        # a long-path set from the bench scan; at the window's edge orders a
+        # Bessel-row product, its theta0 row cut at N = 1840, errs 2.8e-14 to
+        # 4.9e-14, and the exit wave must not
+        theta0, theta_a2, theta_c4 = -1731.1593482715286, 2.5893179305953185, -1.2946589652976597
+        p = quadrupole_pattern(PhaseSet(theta0, theta_a2, thetaC4=theta_c4))
+        half = 1845  # the exit wave's window -H..H for this set
+        assert p.truncation_order >= 2 * half
+        ks = [-half, -half + 1, -half + 2, -half + 3, -1731, -1, 0, 1, 1731,
+              half - 3, half - 2, half - 1, half]
+        m = 4096  # aliases of |k| <= 1845 sit past order 2251, below 1e-100
+        with mp.workdps(30):
+            t0, a2, c4 = (mp.mpf(v) for v in (theta0, theta_a2, theta_c4))
+            roots = [mp.expjpi(mp.mpf(2 * j) / m) for j in range(m)]
+            psi = []
+            for j in range(m):
+                c, s = roots[j].real, roots[j].imag
+                psi.append(mp.expj(t0 * c + a2 * (s + s * c) + c4 * (2 * c * c - 1)))
+            for k in ks:
+                exact = mp.fsum(psi[j] * roots[-k * j % m] for j in range(m)) / m
+                assert abs(p.amplitude(2 * k) - complex(exact)) <= 2e-14, k
 
 
 def padded(pattern, half):
@@ -250,15 +281,15 @@ def padded(pattern, half):
     return out
 
 
-def pattern_on_path(monkeypatch, phases, fft):
-    """quadrupole_pattern with its convolution path forced, plus the path it
-    would have chosen by itself for the final rows."""
-    chosen = []
+def pattern_on_path(monkeypatch, phases, fft=None):
+    """quadrupole_pattern with its path forced (unless ``fft`` is None), plus
+    the path it would have chosen by itself (None for a single amplitude)."""
+    chosen = [None]
     choose = diffraction._fft_pays
 
     def forced(lengths):
         chosen.append(choose(lengths))
-        return fft
+        return chosen[-1] if fft is None else fft
 
     with monkeypatch.context() as m:
         m.setattr(diffraction, "_fft_pays", forced)
@@ -267,11 +298,9 @@ def pattern_on_path(monkeypatch, phases, fft):
 
 
 class TestConvolutionPaths:
-    # (below, above): one pair straddles the 2e5 multiply-add floor, the
-    # other the 10 m log2 m estimate of the FFT's cost
+    # (below, above) straddle the 2e5 multiply-add floor of the direct path
     STRADDLES = [
         (PhaseSet(37.0, 37.0, thetaC4=-18.5), PhaseSet(38.0, 38.0, thetaC4=-19.0)),
-        (PhaseSet(500.0, 0.5, thetaC4=-0.25), PhaseSet(510.0, 0.51, thetaC4=-0.255)),
     ]
 
     @pytest.mark.parametrize("below, above", STRADDLES)
@@ -280,9 +309,12 @@ class TestConvolutionPaths:
             direct, chosen = pattern_on_path(monkeypatch, phases, fft=False)
             fft, _ = pattern_on_path(monkeypatch, phases, fft=True)
             assert chosen is natural
-            assert np.array_equal(direct.orders, fft.orders)
-            assert np.max(np.abs(direct.amplitudes - fft.amplitudes)) <= 1e-14
-            assert abs(direct.truncation_residual - fft.truncation_residual) <= 1e-14
+            # the exit wave's window -H..H against the longer row product
+            qs = fft.orders
+            assert np.max(np.abs(direct.amplitudes_at(qs) - fft.amplitudes)) <= 1e-14
+            outside = np.abs(direct.orders) > fft.truncation_order
+            assert float(np.sum(direct.intensities[outside])) < 1e-23
+            assert 0.0 <= fft.truncation_residual < 1e-23
             unforced = quadrupole_pattern(phases)
             assert np.array_equal((fft if natural else direct).amplitudes, unforced.amplitudes)
 
@@ -290,21 +322,6 @@ class TestConvolutionPaths:
         # row lengths depend on |phase| only, so one sign covers both
         _, chosen = pattern_on_path(monkeypatch, PhaseSet(20.0, 20.0, thetaC4=20.0), fft=False)
         assert chosen is False
-
-    def test_underflowed_row_leaves_only_sub_floor_noise(self, monkeypatch):
-        # J_n(1e-30) underflows to exact zeros past n ~ 10, so the direct path
-        # trims the outermost orders; the FFT path keeps them as rounding
-        # noise, and every such extra order must stay below 1e-15
-        phases = PhaseSet(2000.0, thetaC4=1e-30)
-        direct, _ = pattern_on_path(monkeypatch, phases, fft=False)
-        fft, _ = pattern_on_path(monkeypatch, phases, fft=True)
-        assert len(fft.orders) > len(direct.orders)
-        half = len(fft.orders) // 2
-        gap = np.abs(padded(direct, half) - padded(fft, half))
-        assert np.max(gap) <= 1e-14
-        extra = ~np.isin(fft.orders, direct.orders)
-        assert np.max(np.abs(fft.amplitudes[extra])) <= 1e-15
-        assert abs(direct.truncation_residual - fft.truncation_residual) <= 1e-14
 
     def test_zero_phase_rows_keep_the_bytes_of_convolving_with_one(self):
         # a zero phase gets no row; the amplitudes must keep the bytes of the
@@ -338,8 +355,8 @@ class TestConvolutionPaths:
         assert abs(phases.theta0) <= 1e4 and abs(phases.thetaC4) <= 1e4
         pattern = quadrupole_pattern(phases)
         oracle = phase_grating_oracle(m, TAU, grid_points=2**19)
-        half = max(len(pattern.orders), len(oracle.orders)) // 2
-        assert half > 50000
+        assert pattern.truncation_order >= oracle.truncation_order
+        half = len(pattern.orders) // 2
         assert np.max(np.abs(padded(pattern, half) - padded(oracle, half))) <= 1e-9
         assert abs(1.0 - float(np.sum(pattern.intensities))) <= 1e-10
         with pytest.raises(xkd.TruncationError):
