@@ -227,26 +227,27 @@ class TestQuadrupolePattern:
         assert calls == [9000.0]
 
     def test_residual_sums_the_row_tails(self, monkeypatch):
-        # direct path: (sum_i sqrt t_i)^2 over the four rows' discarded
-        # tails; exit-wave path: the power the FFT puts outside the window
+        # direct path (forced on every draw): (sum_i sqrt t_i)^2 over the four
+        # rows' discarded tails; exit-wave path: the power the FFT puts
+        # outside the window
         rng = np.random.default_rng(5)
         paths = []
         for _ in range(40):
             # three free phases; the PhaseSet derives thetaA4
             t0, a2, c4 = (float(v) for v in rng.uniform(-2.0, 2.0, 3) ** 5 * 300.0)
             phases = PhaseSet(t0, a2, thetaC4=c4)
+            direct, _ = pattern_on_path(monkeypatch, phases, fft=False)
+            tails = [
+                diffraction._truncated_bessel(xi)[1]
+                for xi in (phases.theta0, phases.thetaA2, phases.thetaA4, phases.thetaC4)
+            ]
+            assert direct.truncation_residual == sum(np.sqrt(t) for t in tails) ** 2, phases
             p, fft = pattern_on_path(monkeypatch, phases)
             paths.append(fft)
             assert p.truncation_residual >= 0.0, phases
             if fft:
                 total = float(np.sum(p.intensities))
                 assert abs(1.0 - total - p.truncation_residual) <= 1e-14, phases
-                continue
-            tails = [
-                diffraction._truncated_bessel(xi)[1]
-                for xi in (phases.theta0, phases.thetaA2, phases.thetaA4, phases.thetaC4)
-            ]
-            assert p.truncation_residual == sum(np.sqrt(t) for t in tails) ** 2, phases
         assert True in paths and False in paths
 
     def test_exit_wave_path_against_a_30_digit_dft(self):
@@ -359,6 +360,7 @@ class TestConvolutionPaths:
         half = len(pattern.orders) // 2
         assert np.max(np.abs(padded(pattern, half) - padded(oracle, half))) <= 1e-9
         assert abs(1.0 - float(np.sum(pattern.intensities))) <= 1e-10
+        assert 0.0 <= pattern.truncation_residual < 1.2e-23
         with pytest.raises(xkd.TruncationError):
             quadrupole_pattern(PhaseSet(1e4, -1e4, thetaC4=1.0001e4))
 
