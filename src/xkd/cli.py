@@ -67,6 +67,8 @@ def _blame(doc: dict, where: str, *keys: str):
 def _resolve_atom(doc: dict, where: str) -> AtomSpecies:
     selector = _need(doc, "atom", where, (str, dict))
     if isinstance(selector, dict):
+        if "catalog" in doc:
+            raise CatalogError(f"{where}: key 'catalog' does not go with an inline key 'atom'")
         return _parse_species({"name": "inline", **selector}, f"{where}: key 'atom'")
     catalog_path = _need(doc, "catalog", where, str, default=None)
     try:

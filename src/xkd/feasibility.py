@@ -134,12 +134,12 @@ def interpolate_cross_section(
     """Cross section at energy_ev by log-log linear interpolation.
 
     Exact table nodes return the tabulated value untouched.  Energies
-    outside the table raise SigmaRangeError naming the covered range:
-    photoionization data follow steep power laws, so extrapolating would
-    just invent physics.
+    outside the table (and NaN) raise SigmaRangeError naming the covered
+    range: photoionization data follow steep power laws, so extrapolating
+    would just invent physics.
     """
     lo, hi = sigma_table[0][0], sigma_table[-1][0]
-    if energy_ev < lo or energy_ev > hi:
+    if not lo <= energy_ev <= hi:
         raise SigmaRangeError(
             f"photon energy {energy_ev:g} eV outside cross-section table "
             f"range [{lo:g}, {hi:g}] eV"
@@ -151,7 +151,6 @@ def interpolate_cross_section(
         if e0 < energy_ev < e1:
             t = math.log(energy_ev / e0) / math.log(e1 / e0)
             return s0 * (s1 / s0) ** t
-    raise SigmaRangeError(f"photon energy {energy_ev:g} eV not bracketed by table")
 
 
 def ionization_survival(

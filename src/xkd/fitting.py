@@ -13,7 +13,8 @@ damping).  The derivatives are exact: differentiating psi multiplies it by
 amplitudes by one or two order pairs, so each trial evaluation returns its
 intensities and its Jacobian together.
 
-The dipole fit is the quadrupole fit's body with thetaA2 = thetaC4 = 0
+One routine takes a model, a start and the observations to the fit's
+result, so the dipole fit is the quadrupole fit with thetaA2 = thetaC4 = 0
 held fixed.  Identifiability caveats, all exact properties of the model
 and resolved by convention or documentation rather than by the data:
 
@@ -205,18 +206,19 @@ def _quad_model(params: np.ndarray, orders: np.ndarray):
     return _with_jacobian(tuple(float(v) for v in params), orders, 3)
 
 
-def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
-    """Gauss-Newton with Marquardt damping, shared by both fits.
+def _fit(model, p0, observed: ObservedPattern, describe) -> FitResult:
+    """Gauss-Newton with Marquardt damping from ``p0``, shared by both fits.
 
     ``model(p, orders)`` returns the intensities and their Jacobian.  Each
     trial step solves (JtJ + lambda diag JtJ) s = -Jt r, capped at
     ``MAX_STEP_NORM``; a step that raises the weighted residual is rejected
     and lambda grows, an accepted one shrinks it.  The weights are divided
     by their largest value first, so the fit does not depend on their
-    absolute scale.  Returns (params, residual, converged, iterations,
-    cond, degenerate, sigmas), the last three from the normal matrix at the
-    returned params.  An exactly zero Jacobian stops the fit, converged
-    only at residual 0.
+    absolute scale.  An exactly zero Jacobian stops the fit, converged
+    only at residual 0.  The result has theta0 >= 0 by the joint (theta0,
+    thetaC4) flip and omitted phases 0.0; ``describe(cond, degenerate,
+    sigmas)``, from the normal matrix at the result, opens the covariance
+    note, and an observed total above 1 closes it.
     """
     orders = observed.orders
     y = observed.intensities
@@ -229,23 +231,6 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
         intensities, d_intensities = model(p, orders)
         return sqrt_w * (y - intensities), -sqrt_w[:, None] * d_intensities
 
-    def try_residuals(p):
-        # a wild trial step (flat direction of a degenerate normal matrix)
-        # can leave the model's domain; report it as an unacceptable step
-        try:
-            return residuals(p)
-        except diffraction.PhaseRangeError:
-            return None
-
-    def damped_step(jtj, rhs, damping):
-        matrix = jtj + damping * np.diag(np.diag(jtj))
-        try:
-            step = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
-        norm = float(np.linalg.norm(step))
-        return step * (MAX_STEP_NORM / norm) if norm > MAX_STEP_NORM else step
-
     p = np.array(p0, dtype=float)
     with np.errstate(over="ignore"):
         r, jac = residuals(p)
@@ -255,7 +240,6 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
                          "(weights or intensities too large)")
     damping = DAMPING_START
     converged = False
-    iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         if not jac.any():
             converged = s == 0.0
@@ -264,11 +248,23 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
         rhs = -jac.T @ r
         trial = None
         for _ in range(MAX_REJECTIONS):
-            step = damped_step(jtj, rhs, damping)
+            matrix = jtj + damping * np.diag(np.diag(jtj))
+            try:
+                step = np.linalg.solve(matrix, rhs)
+            except np.linalg.LinAlgError:
+                step, *_ = np.linalg.lstsq(matrix, rhs, rcond=None)
+            norm = float(np.linalg.norm(step))
+            if norm > MAX_STEP_NORM:
+                step = step * (MAX_STEP_NORM / norm)
             if not np.all(np.isfinite(step)):
                 break
-            trial = try_residuals(p + step)
-            if trial is not None:
+            # a wild trial step (flat direction of a degenerate normal matrix)
+            # can leave the model's domain; report it as an unacceptable step
+            try:
+                trial = residuals(p + step)
+            except diffraction.PhaseRangeError:
+                pass
+            else:
                 s_new = float(trial[0] @ trial[0])
                 if s_new <= s:
                     break
@@ -283,10 +279,8 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
         ds = s - s_new
         s = s_new
         damping = max(damping / DAMPING_DOWN, DAMPING_FLOOR)
-        if float(np.linalg.norm(step)) < STEP_TOLERANCE:
-            converged = True
-            break
-        if ds <= RESIDUAL_TOLERANCE * max(s, 1e-300):
+        if (float(np.linalg.norm(step)) < STEP_TOLERANCE
+                or ds <= RESIDUAL_TOLERANCE * max(s, 1e-300)):
             converged = True
             break
     jtj = jac.T @ jac
@@ -301,14 +295,6 @@ def _gauss_newton(model, p0: np.ndarray, observed: ObservedPattern):
         variances = [math.nan] * len(p)
     sigmas = tuple(float(math.sqrt(max(v, 0.0))) if math.isfinite(v) else None
                    for v in variances)
-    return p, s * scale, converged, iterations, cond, degenerate, sigmas
-
-
-def _fit(model, p0, observed: ObservedPattern, describe) -> FitResult:
-    """Fit from ``p0``, theta0 >= 0 by the joint (theta0, thetaC4) flip and
-    omitted phases 0.0; ``describe(cond, degenerate, sigmas)`` opens the
-    covariance note, and an observed total above 1 closes it."""
-    p, s, converged, iterations, cond, degenerate, sigmas = _gauss_newton(model, p0, observed)
     theta0, theta_a2, theta_c4 = [*map(float, p), 0.0, 0.0][:3]
     if math.copysign(1.0, theta0) < 0:
         # an exact symmetry; 0.0 - x keeps a dipole fit's thetaC4 at 0.0
@@ -321,7 +307,7 @@ def _fit(model, p0, observed: ObservedPattern, describe) -> FitResult:
         theta0_hat=theta0,
         thetaA2_hat=theta_a2,
         thetaC4_hat=theta_c4,
-        residual=s,
+        residual=s * scale,
         converged=converged,
         iterations=iterations,
         covariance_note=note,

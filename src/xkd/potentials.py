@@ -73,6 +73,8 @@ class AtomSpecies:
         object.__setattr__(self, "sigma_table", table)
         if len(table) < 1:
             raise ValueError("sigma_table needs at least one entry")
+        if not all(math.isfinite(v) for pair in table for v in pair):
+            raise ValueError("sigma_table entries must be finite")
         energies = [e for e, _ in table]
         if any(b <= a for a, b in zip(energies, energies[1:])):
             raise ValueError("sigma_table energies must be strictly increasing")

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -107,6 +108,20 @@ class TestPattern:
         assert doc["orders"][len(doc["orders"]) // 2] == 0
         svg = (tmp_path / "pattern_doc.svg").read_text()
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+    def test_plot_labels_the_orders_at_one_percent_of_the_peak(self, tmp_path):
+        # labels are drawn only for patterns of at most 40 orders
+        cfg = write_json(tmp_path / "few.json",
+                         {"wavelength_m": 5e-10, "tau_s": 1e-12, "U0_eV": -5e-4})
+        out = tmp_path / "few.csv"
+        assert cli.main(["pattern", "--config", cfg, "--out", str(out), "--plot"]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 39
+        top = max(float(row[3]) for row in rows)
+        bright = [int(row[0]) for row in rows if float(row[3]) >= 0.01 * top]
+        assert bright == [-2, 0, 2]
+        svg = (tmp_path / "few.svg").read_text()
+        assert [int(q) for q in re.findall(r'font-size="10">(-?\d+)</text>', svg)] == bright
 
     def test_plot_onto_the_out_file_exits_one(self, tmp_path, capsys):
         # the chart would overwrite the pattern written to --out
@@ -682,4 +697,24 @@ def test_misspelt_catalog_key_exits_one_naming_it(tmp_path, capsys):
     out.unlink()
     assert cli.main(["pattern", "--config", cfg, "--out", str(out)]) == 1
     assert "unknown key 'A_qd'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("pattern", {"wavelength_m": 5e-10, "tau_s": 1e-12, "intensity_W_m2": 1.9e14}),
+    ("plan", {"wavelength_m": 5e-10, "U_target_eV": 1e-3, "pulse_duration_s": 1e-12,
+              "spot_radius_m": 1e-6}),
+])
+def test_catalog_next_to_an_inline_atom_exits_one_naming_it(tmp_path, capsys, command, doc):
+    # the inline species is taken, so the catalog would be ignored silently
+    atom = {"mass_kg": 3.8e-26, "alpha_m3": 2.4e-29, "ionization_energy_eV": 5.1,
+            "sigma_table": [[100, 1e-22], [3000, 1e-24]]}
+    out = tmp_path / "out.json"
+    cfg = write_json(tmp_path / "inline.json", {**doc, "atom": atom})
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+    out.unlink()
+    cfg = write_json(tmp_path / "inline.json",
+                     {**doc, "atom": atom, "catalog": "does_not_exist.json"})
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "key 'catalog' does not go with an inline key 'atom'" in capsys.readouterr().err
     assert not out.exists()

@@ -348,6 +348,19 @@ class TestConvolutionPaths:
             got = quadrupole_pattern(phases).amplitudes
             assert got.tobytes() == conv[h - k : h + k + 1].tobytes(), phases
 
+    def test_end_orders_that_underflow_to_zero_are_trimmed(self):
+        # the row of a 1e-200 rad phase is longer than three entries, but
+        # every one past J1 = 5e-201 underflows to exactly 0; the bytes
+        # also pin +0.0 in every real and imaginary part (no signed zeros)
+        assert len(diffraction._truncated_bessel(1e-200)[0]) > 3
+        a = 0.5e-200j
+        dipole = dipole_pattern(1e-200)
+        assert dipole.amplitudes.tobytes() == np.array([a, 1, a]).tobytes()
+        assert dipole.truncation_residual == 0.0
+        pattern = quadrupole_pattern(PhaseSet(1e-200, 0.0, thetaC4=1e-200))
+        assert pattern.amplitudes.tobytes() == np.array([a, a, 1, a, a]).tobytes()
+        assert pattern.truncation_residual == 0.0
+
     def test_bessel_argument_cap(self):
         # every phase at the 1e4 cap: about 1e5 orders, against the oracle on
         # a grid wide enough to resolve them all

@@ -196,6 +196,13 @@ class TestCrossSectionInterpolation:
         with pytest.raises(SigmaRangeError):
             interpolate_cross_section(((100.0, 5e-22),), 101.0)
 
+    def test_energy_outside_or_nan_names_the_range(self):
+        # inside the range every energy is a node or lies between two
+        # neighbouring nodes, so the range check is the only refusal
+        for e in (29.9, 1000.1, math.nan):
+            with pytest.raises(SigmaRangeError, match=r"range \[30, 1000\] eV"):
+                interpolate_cross_section(self.TABLE, e)
+
 
 class TestSemiclassical:
     def test_frozen_density(self):

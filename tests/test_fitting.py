@@ -526,6 +526,28 @@ class TestModelCalls:
         assert (rejected > 0) == rejects
 
 
+def test_a_start_that_every_step_worsens_stops_after_the_rejection_limit(monkeypatch):
+    # the residual is 1 per order at theta0 = 0 and 2 anywhere else, however
+    # short the step, while the Jacobian stays a column of ones
+    obs = ObservedPattern.from_arrays([-2, 0, 2], [0.2, 0.5, 0.2])
+    calls = []
+
+    def worse_off_the_start(params, orders):
+        theta = float(params[0])
+        calls.append(theta)
+        return obs.intensities - 1.0 - (theta != 0.0), np.ones((len(orders), 1))
+
+    monkeypatch.setattr(fitting, "_dipole_model", worse_off_the_start)
+    result = fit_dipole(obs, theta0_init=0.0)
+    assert len(calls) == 1 + fitting.MAX_REJECTIONS
+    assert calls[0] == 0.0 and all(theta != 0.0 for theta in calls[1:])
+    assert result.iterations == 1
+    assert result.theta0_hat == 0.0
+    r = obs.intensities - (obs.intensities - 1.0)
+    assert result.residual == float(r @ r)
+    assert result.converged  # every rejected step was finite
+
+
 def test_fit_with_its_optimum_at_the_phase_range_edge_returns_the_edge(monkeypatch):
     # every evaluation brings its own derivatives, so no Jacobian column
     # steps past the range and only trial steps can leave it

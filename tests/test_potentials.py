@@ -212,6 +212,10 @@ class TestValidation:
             make_atom(sigma_table=((100.0, 5e-22), (100.0, 4e-22)))
         with pytest.raises(ValueError):
             make_atom(sigma_table=((100.0, 0.0),))
+        # a NaN compares false both ways, so the order and sign checks pass it
+        for bad in ((math.nan, 5e-22), (200.0, math.nan), (math.inf, 5e-22)):
+            with pytest.raises(ValueError, match="finite"):
+                make_atom(sigma_table=((100.0, 5e-22), bad, (300.0, 4e-22)))
 
     def test_laser_invariants(self):
         with pytest.raises(ValueError):
