@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import HBAR
-from .potentials import PotentialModel, _mean, evaluate_potential
+from .potentials import PotentialModel, _mean, _number, evaluate_potential
 
 __all__ = [
     "TruncationError",
@@ -182,15 +182,13 @@ class PhaseSet:
 
     def __post_init__(self):
         for name in ("theta0", "thetaA2", "thetaC4"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            _number(name, getattr(self, name))
         theta_a4 = 0.5 * self.thetaA2
         if self.thetaA4 is not None and self.thetaA4 != theta_a4:
             raise ValueError(f"thetaA4 must be thetaA2/2 = {theta_a4!r}, got {self.thetaA4!r}")
         object.__setattr__(self, "thetaA4", theta_a4)
-        object.__setattr__(self, "global_phase", self.theta0 - self.thetaC4)
-        if not math.isfinite(self.global_phase):
-            raise ValueError("global_phase must be finite")
+        global_phase = _number("global_phase", self.theta0 - self.thetaC4)
+        object.__setattr__(self, "global_phase", global_phase)
 
 
 def phases_from_potential(model: PotentialModel, tau: float) -> PhaseSet:
@@ -199,8 +197,7 @@ def phases_from_potential(model: PotentialModel, tau: float) -> PhaseSet:
     theta0 = U0 tau / 2 hbar, thetaA2 = UA tau / 4 hbar,
     thetaC4 = -UC tau / 8 hbar; the PhaseSet derives thetaA4.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    _number("tau", tau, positive=True)
     return PhaseSet(
         theta0=model.U0 * tau / (2.0 * HBAR),
         thetaA2=model.UA * tau / (4.0 * HBAR),
@@ -456,8 +453,7 @@ def phase_grating_oracle(
     m = int(grid_points)
     if m < 4096 or (m & (m - 1)) != 0:
         raise ValueError(f"grid_points must be a power of two >= 4096, got {grid_points}")
-    if not tau > 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    _number("tau", tau, positive=True)
     _check_tolerance(tolerance)
     x = np.arange(m) * (2.0 * math.pi / model.k_L) / m
     phase = evaluate_potential(model, x) * (tau / HBAR)

@@ -22,7 +22,7 @@ import math
 from dataclasses import astuple, dataclass
 
 from .constants import C, EV, HBAR, NONLINEAR_INTENSITY
-from .potentials import AtomSpecies, LaserGrating, lightshift_depth
+from .potentials import AtomSpecies, LaserGrating, _number, _sigma_table, lightshift_depth
 
 __all__ = [
     "SigmaRangeError",
@@ -91,15 +91,15 @@ class FeasibilityReport:
 
 def recoil_energy(mass: float, k_L: float) -> float:
     """Single-photon recoil energy hbar^2 k_L^2 / 2m, in eV."""
-    if not mass > 0:
-        raise ValueError(f"mass must be > 0, got {mass}")
+    _number("mass", mass, positive=True)
+    _number("k_L", k_L)
     return (HBAR * k_L) ** 2 / (2.0 * mass) / EV
 
 
 def regime_ratio(U: float, epsilon: float) -> float:
     """|U| / epsilon with both in J; above one marks the diffraction regime."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    _number("U", U)
+    _number("epsilon", epsilon, positive=True)
     return abs(U) / epsilon
 
 
@@ -109,22 +109,20 @@ def required_intensity(atom: AtomSpecies, U_target: float) -> float:
     Inverts the rule-of-thumb depth against I = c E0^2 / 8 pi; the exact
     cos^2-well depth of the resulting field is U_target / 4.
     """
-    if not U_target > 0:
-        raise ValueError(f"U_target must be > 0, got {U_target}")
+    _number("U_target", U_target, positive=True)
     return U_target * C / (8.0 * math.pi * atom.alpha)
 
 
 def interaction_time(U: float) -> float:
     """Exposure tau = hbar / |U| that imprints an order-unity phase, in s."""
-    if U == 0:
+    if _number("U", U) == 0:
         raise ValueError("U must be nonzero")
     return HBAR / abs(U)
 
 
 def photon_energy(wavelength: float) -> float:
     """Photon energy 2 pi hbar c / lambda, in eV."""
-    if not wavelength > 0:
-        raise ValueError(f"wavelength must be > 0, got {wavelength}")
+    _number("wavelength", wavelength, positive=True)
     return 2.0 * math.pi * HBAR * C / wavelength / EV
 
 
@@ -133,24 +131,23 @@ def interpolate_cross_section(
 ) -> float:
     """Cross section at energy_ev by log-log linear interpolation.
 
-    Exact table nodes return the tabulated value untouched.  Energies
-    outside the table (and NaN) raise SigmaRangeError naming the covered
-    range: photoionization data follow steep power laws, so extrapolating
-    would just invent physics.
+    Nodes return the tabulated value untouched; a table that breaks
+    AtomSpecies's rules raises ValueError, and energies outside it (NaN
+    too) SigmaRangeError naming the range: photoionization data follow
+    steep power laws, so extrapolating would just invent physics.
     """
+    sigma_table = _sigma_table(sigma_table)
     lo, hi = sigma_table[0][0], sigma_table[-1][0]
     if not lo <= energy_ev <= hi:
         raise SigmaRangeError(
-            f"photon energy {energy_ev:g} eV outside cross-section table "
+            f"photon energy {energy_ev!s:.40} eV outside cross-section table "
             f"range [{lo:g}, {hi:g}] eV"
         )
-    for e, s in sigma_table:
-        if energy_ev == e:
-            return s
     for (e0, s0), (e1, s1) in zip(sigma_table, sigma_table[1:]):
-        if e0 < energy_ev < e1:
+        if e0 <= energy_ev < e1:  # at a node t = 0, and x ** 0.0 is exactly 1.0
             t = math.log(energy_ev / e0) / math.log(e1 / e0)
             return s0 * (s1 / s0) ** t
+    return sigma_table[-1][1]  # energy_ev == hi
 
 
 def ionization_survival(
@@ -162,10 +159,8 @@ def ionization_survival(
     table at the photon energy; the rate is treated as constant over the
     exposure, so N(tau)/N0 = exp(-Gamma tau).
     """
-    if intensity < 0:
-        raise ValueError(f"intensity must be >= 0, got {intensity}")
-    if not tau > 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    _number("intensity", intensity, nonnegative=True)
+    _number("tau", tau, positive=True)
     sigma = interpolate_cross_section(atom.sigma_table, photon_energy_ev)
     gamma = sigma * intensity / (photon_energy_ev * EV)
     gamma_tau = gamma * tau
@@ -183,10 +178,10 @@ def semiclassical_check(
     Treating the grating classically is safe when many photons occupy the
     interaction region; the benchmark count is one million.
     """
-    if intensity < 0:
-        raise ValueError(f"intensity must be >= 0, got {intensity}")
-    if not wavelength > 0 or not volume > 0:
-        raise ValueError("wavelength and volume must be > 0")
+    _number("intensity", intensity, nonnegative=True)
+    _number("wavelength", wavelength, positive=True)
+    _number("volume", volume, positive=True)
+    _number("min_photons", min_photons, positive=True)
     density = intensity / (C * photon_energy(wavelength) * EV)
     count = density * volume
     return density, count, count >= min_photons
@@ -198,8 +193,8 @@ def atom_velocity_needed(spot_radius: float, tau: float) -> float:
     Uses the spot diameter, 2 r / tau; the factor-two transit convention is
     fixed here rather than hidden in callers.
     """
-    if not spot_radius > 0 or not tau > 0:
-        raise ValueError("spot_radius and tau must be > 0")
+    _number("spot_radius", spot_radius, positive=True)
+    _number("tau", tau, positive=True)
     return 2.0 * spot_radius / tau
 
 
@@ -217,6 +212,7 @@ def plan_experiment(
     zero); ``U_target`` is the rule-of-thumb depth used for intensity sizing
     and the visibility phase.  Pure and deterministic.
     """
+    _number("U_target", U_target, nonnegative=True)
     tau = laser.pulse_duration
     eps_ev = recoil_energy(atom.mass, laser.k_L)
     u0 = lightshift_depth(atom, laser)

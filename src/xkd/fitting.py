@@ -50,7 +50,7 @@ import numpy as np
 from .constants import E2_GAUSS, HARTREE_NOMINAL, HBAR, R_BOHR
 from . import diffraction
 from .diffraction import PhaseSet
-from .potentials import LaserGrating
+from .potentials import LaserGrating, _number
 
 __all__ = [
     "ObservedPattern",
@@ -85,23 +85,21 @@ class ObservedPattern:
     rows: tuple[tuple[int, float, float], ...]   # (order, intensity, weight)
 
     def __post_init__(self):
-        rows = tuple((int(q), float(i), float(w)) for q, i, w in self.rows)
-        object.__setattr__(self, "rows", rows)
-        seen = set()
-        for q, intensity, weight in rows:
+        rows, seen = [], set()
+        for q, intensity, weight in self.rows:
+            q = int(q)
             if q % 2 != 0:
                 raise ValueError(f"order {q} is odd; only even orders exist")
             if q in seen:
                 raise ValueError(f"duplicate order {q}")
             seen.add(q)
-            if not math.isfinite(intensity):
-                raise ValueError(f"order {q}: intensity must be finite, got {intensity}")
-            if intensity < 0:
-                raise ValueError(f"order {q}: intensity must be >= 0")
-            if not math.isfinite(weight):
-                raise ValueError(f"order {q}: weight must be finite, got {weight}")
-            if not weight > 0:
-                raise ValueError(f"order {q}: weight must be > 0")
+            try:  # constant labels: a row costs no string unless it fails
+                _number("intensity", intensity, nonnegative=True)
+                _number("weight", weight, positive=True)
+            except ValueError as exc:
+                raise ValueError(f"order {q}: {exc}") from None
+            rows.append((q, float(intensity), float(weight)))
+        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def orders(self) -> np.ndarray:
@@ -470,8 +468,7 @@ def polarizability_estimates(result: FitResult, laser: LaserGrating) -> Polariza
     A_dq and C_qq, so those are None).
     """
     tau = laser.pulse_duration  # the interaction time
-    if not laser.intensity > 0:
-        raise ValueError("laser intensity must be > 0 to recover polarizabilities")
+    _number("laser.intensity", laser.intensity, positive=True)
     e0_sq = laser.E0_squared
     k_l = laser.k_L
     alpha_per_rad = 8.0 * HBAR / (tau * e0_sq)

@@ -61,25 +61,11 @@ class AtomSpecies:
     C_qq: float = 0.0
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ValueError(f"mass must be > 0, got {self.mass}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.A_dq < 0:
-            raise ValueError(f"A_dq must be >= 0, got {self.A_dq}")
-        if self.C_qq < 0:
-            raise ValueError(f"C_qq must be >= 0, got {self.C_qq}")
-        table = tuple((float(e), float(s)) for e, s in self.sigma_table)
-        object.__setattr__(self, "sigma_table", table)
-        if len(table) < 1:
-            raise ValueError("sigma_table needs at least one entry")
-        if not all(math.isfinite(v) for pair in table for v in pair):
-            raise ValueError("sigma_table entries must be finite")
-        energies = [e for e, _ in table]
-        if any(b <= a for a, b in zip(energies, energies[1:])):
-            raise ValueError("sigma_table energies must be strictly increasing")
-        if any(s <= 0 for _, s in table):
-            raise ValueError("sigma_table cross sections must be > 0")
+        for name in ("mass", "alpha"):
+            _number(name, getattr(self, name), positive=True)
+        for name in ("ionization_energy", "A_dq", "C_qq"):
+            _number(name, getattr(self, name), nonnegative=True)
+        object.__setattr__(self, "sigma_table", _sigma_table(self.sigma_table))
 
 
 @dataclass(frozen=True)
@@ -93,11 +79,9 @@ class LaserGrating:
 
     def __post_init__(self):
         for name in ("wavelength", "pulse_duration", "spot_radius"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+            _number(name, getattr(self, name), positive=True)
         # intensity 0 is a legitimate degenerate case (no grating)
-        if self.intensity < 0:
-            raise ValueError(f"intensity must be >= 0, got {self.intensity}")
+        _number("intensity", self.intensity, nonnegative=True)
 
     @property
     def k_L(self) -> float:
@@ -123,11 +107,9 @@ class PotentialModel:
     k_L: float      # 1/m
 
     def __post_init__(self):
-        for name in ("U0", "UA", "UC", "k_L"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.k_L > 0:
-            raise ValueError(f"k_L must be > 0, got {self.k_L}")
+        for name in ("U0", "UA", "UC"):
+            _number(name, getattr(self, name))
+        _number("k_L", self.k_L, positive=True)
 
 
 def lightshift_depth(atom: AtomSpecies, laser: LaserGrating) -> float:
@@ -207,39 +189,67 @@ class CatalogError(ValueError):
 
 
 _REQUIRED = object()
+_MAX = sys.float_info.max
 _KIND_NAMES = {str: "a string", dict: "an object", list: "an array",
                (str, dict): "a string or an object"}
+
+
+def _number(label: str, value, positive: bool = False, nonnegative: bool = False):
+    """``value``, untouched, once it is finite as a double and ``> 0``/``>= 0`` where asked:
+    the one rule for input numbers.  Raises ValueError "<label> must be ..., got <value>"."""
+    if not -_MAX <= value <= _MAX:  # also NaN and huge ints, which float() overflows on
+        problem = "finite"
+    elif positive and not value > 0:
+        problem = "> 0"
+    elif nonnegative and value < 0:
+        problem = ">= 0"
+    else:
+        return value
+    raise ValueError(f"{label} must be {problem}, got {value!s:.40}")
+
+
+def _sigma_table(table) -> tuple[tuple[float, float], ...]:
+    """``table`` as float (energy eV, cross section m^2) pairs, once it has an entry,
+    its values pass :func:`_number` as > 0 and its energies strictly increase."""
+    pairs = tuple(table)
+    if not pairs:
+        raise ValueError("sigma_table needs at least one entry")
+    for i, (energy, sigma) in enumerate(pairs):
+        _number(f"sigma_table entry {i} energy", energy, positive=True)
+        _number(f"sigma_table entry {i} cross section", sigma, positive=True)
+    pairs = tuple((float(e), float(s)) for e, s in pairs)
+    if any(b <= a for (a, _), (b, _) in zip(pairs, pairs[1:])):
+        raise ValueError("sigma_table energies must be strictly increasing")
+    return pairs
 
 
 def _need(doc: dict, key: str, where: str, kind=float, default=_REQUIRED,
           positive: bool = False, nonnegative: bool = False):
     """The one reader of config and catalog values: ``doc[key]`` as ``kind``.
 
-    A number must be a JSON number (not a bool, null or string), finite as a
-    float, and ``> 0``/``>= 0`` where asked; it comes back as a float.  A
-    missing key gives ``default`` if one is passed.  Failures raise
-    CatalogError reading "<where>: key '<key>' ...".
+    A number must be a JSON number (not a bool, null or string) that passes
+    :func:`_number` with ``positive``/``nonnegative``; it comes back as a
+    float.  A missing key gives ``default`` if one is passed.  Failures
+    raise CatalogError reading "<where>: key '<key>' ...".
     """
     if key not in doc:
         if default is _REQUIRED:
             raise CatalogError(f"{where}: key '{key}' is missing")
         return default
     value = doc[key]
+    label = f"{where}: key '{key}'"
     if kind is not float:
         if isinstance(value, kind):
             return value
         problem = "must be " + _KIND_NAMES[kind]
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
         problem = "must be a number"
-    elif not -sys.float_info.max <= value <= sys.float_info.max:  # also NaN, huge ints
-        problem = "must be finite"
-    elif positive and not value > 0:
-        problem = "must be > 0"
-    elif nonnegative and value < 0:
-        problem = "must be >= 0"
     else:
-        return float(value)
-    raise CatalogError(f"{where}: key '{key}' {problem}, got {json.dumps(value)[:40]}")
+        try:
+            return float(_number(label, value, positive, nonnegative))
+        except ValueError as exc:
+            raise CatalogError(str(exc)) from None
+    raise CatalogError(f"{label} {problem}, got {json.dumps(value)[:40]}")
 
 
 def _known(doc: dict, where: str, keys: frozenset) -> dict:

@@ -718,3 +718,20 @@ def test_catalog_next_to_an_inline_atom_exits_one_naming_it(tmp_path, capsys, co
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
     assert "key 'catalog' does not go with an inline key 'atom'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, base, catalog, named", [
+    ("pattern", None, None, "cfg.json: top level must be an object"),
+    ("plan", "plan_xray.json", [], "cat.json: top level must be an object"),
+    ("pattern", "pattern_quadrupole.json", {"species": [1]},
+     "species entry 0: species entry must be an object"),
+], ids=["config-array", "catalog-array", "species-entry-number"])
+def test_config_or_catalog_of_the_wrong_shape_exits_one(tmp_path, capsys, command, base, catalog,
+                                                        named):
+    cat = write_json(tmp_path / "cat.json", catalog)
+    config = [1] if base is None else {**_shipped(base), "catalog": cat}
+    cfg = write_json(tmp_path / "cfg.json", config)
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()

@@ -196,6 +196,14 @@ class TestCrossSectionInterpolation:
         with pytest.raises(SigmaRangeError):
             interpolate_cross_section(((100.0, 5e-22),), 101.0)
 
+    @pytest.mark.parametrize("table, energy", [
+        (((100, 1e-22), (math.nan, 1e-23), (3000, 1e-24)), 200.0),  # returned None
+        (((100, 1e-22), (3000, 1e-24), (200, 1e-23)), 150.0),  # bracketed by 100 and 3000
+    ], ids=["nan-energy", "unsorted"])
+    def test_raw_table_is_checked_like_a_species_table(self, table, energy):
+        with pytest.raises(ValueError, match="^sigma_table "):
+            interpolate_cross_section(table, energy)
+
     def test_energy_outside_or_nan_names_the_range(self):
         # inside the range every energy is a node or lies between two
         # neighbouring nodes, so the range check is the only refusal

@@ -2,15 +2,20 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from xkd import feasibility as feas
 from xkd.constants import EV, R_BOHR
+from xkd.diffraction import PhaseSet, phase_grating_oracle, phases_from_potential
+from xkd.fitting import ObservedPattern
 from xkd.potentials import (
     AtomSpecies,
     CatalogError,
     LaserGrating,
+    _need,
     build_potential,
     evaluate_potential,
     lightshift_depth,
@@ -228,6 +233,107 @@ class TestValidation:
     def test_laser_derived_quantities(self):
         laser = make_laser(wavelength=5e-10)
         assert laser.k_L == pytest.approx(2 * math.pi / 5e-10, rel=1e-15)
+
+
+# Every number a type or public function takes, as (id, call with the value
+# in that place, what the ValueError must start with, a value that breaks
+# its sign rule or None).  Photon energies meet the table's range rule, so
+# they are refused as outside the table.
+MODEL = build_potential(-1e-22, 1e-23, 1e-23, 1e10)
+LASER = dict(wavelength=5e-10, intensity=1e14, pulse_duration=1e-12, spot_radius=1e-6)
+TABLE_ATOM = make_atom(sigma_table=((100.0, 5e-22), (3000.0, 1e-24)))
+NUMBER_INPUTS = [
+    *((f"LaserGrating.{f}", lambda v, f=f: LaserGrating(**{**LASER, f: v}), f,
+       -1e-300 if f == "intensity" else 0.0)
+      for f in LASER),
+    *((f"AtomSpecies.{f}", lambda v, f=f: make_atom(**{f: v}), f, sign)
+      for f, sign in (("mass", 0.0), ("alpha", 0.0), ("ionization_energy", -1e-300),
+                      ("A_dq", -1e-300), ("C_qq", -1e-300))),
+    ("AtomSpecies.sigma_table energy", lambda v: make_atom(sigma_table=((v, 5e-22),)),
+     "sigma_table entry 0 energy", 0.0),
+    ("AtomSpecies.sigma_table sigma", lambda v: make_atom(sigma_table=((100.0, v),)),
+     "sigma_table entry 0 cross section", 0.0),
+    *((f"PotentialModel.{f}",
+       lambda v, f=f: build_potential(**{**dict(U0=-1e-22, UA=0.0, UC=0.0, k_L=1e10), f: v}),
+       f, 0.0 if f == "k_L" else None)
+      for f in ("U0", "UA", "UC", "k_L")),
+    *((f"PhaseSet.{f}", lambda v, f=f: PhaseSet(**{"theta0": 0.5, f: v}), f, None)
+      for f in ("theta0", "thetaA2", "thetaC4")),
+    ("PhaseSet.thetaA4", lambda v: PhaseSet(0.5, 0.1, v), "thetaA4", None),
+    ("ObservedPattern.intensity", lambda v: ObservedPattern(((0, v, 1.0), (2, 0.1, 1.0))),
+     "order 0: intensity", -1e-300),
+    ("ObservedPattern.weight", lambda v: ObservedPattern.from_arrays([0, 2], [0.5, 0.1], [1.0, v]),
+     "order 2: weight", 0.0),
+    ("phases_from_potential.tau", lambda v: phases_from_potential(MODEL, v), "tau", 0.0),
+    ("phase_grating_oracle.tau", lambda v: phase_grating_oracle(MODEL, v, 4096), "tau", 0.0),
+    ("phase_grating_oracle.tolerance", lambda v: phase_grating_oracle(MODEL, 1e-12, 4096, v),
+     "tolerance", 0.0),
+    ("recoil_energy.mass", lambda v: feas.recoil_energy(v, 1e10), "mass", 0.0),
+    ("recoil_energy.k_L", lambda v: feas.recoil_energy(1e-26, v), "k_L", None),
+    ("regime_ratio.U", lambda v: feas.regime_ratio(v, 1e-25), "U", None),
+    ("regime_ratio.epsilon", lambda v: feas.regime_ratio(1e-22, v), "epsilon", 0.0),
+    ("required_intensity.U_target", lambda v: feas.required_intensity(TABLE_ATOM, v),
+     "U_target", 0.0),
+    ("interaction_time.U", lambda v: feas.interaction_time(v), "U", 0.0),
+    ("photon_energy.wavelength", lambda v: feas.photon_energy(v), "wavelength", 0.0),
+    ("interpolate_cross_section.energy_ev",
+     lambda v: feas.interpolate_cross_section(TABLE_ATOM.sigma_table, v), "photon energy", 0.0),
+    ("ionization_survival.intensity",
+     lambda v: feas.ionization_survival(TABLE_ATOM, v, 200.0, 1e-12), "intensity", -1e-300),
+    ("ionization_survival.photon_energy_ev",
+     lambda v: feas.ionization_survival(TABLE_ATOM, 1e14, v, 1e-12), "photon energy", 0.0),
+    ("ionization_survival.tau", lambda v: feas.ionization_survival(TABLE_ATOM, 1e14, 200.0, v),
+     "tau", 0.0),
+    *((f"semiclassical_check.{f}",
+       lambda v, f=f: feas.semiclassical_check(**{**dict(intensity=1e14, wavelength=5e-10), f: v}),
+       f, -1e-300 if f == "intensity" else 0.0)
+      for f in ("intensity", "wavelength", "volume", "min_photons")),
+    *((f"atom_velocity_needed.{f}",
+       lambda v, f=f: feas.atom_velocity_needed(**{**dict(spot_radius=1e-6, tau=1e-12), f: v}),
+       f, 0.0)
+      for f in ("spot_radius", "tau")),
+    *((f"plan_experiment.{f}",
+       lambda v, f=f: feas.plan_experiment(TABLE_ATOM, make_laser(wavelength=5e-10),
+                                           **{**dict(U_target=1e-3 * EV), f: v}),
+       f, -1e-300 if f == "U_target" else 0.0)
+      for f in ("U_target", "volume", "min_photons")),
+]
+NUMBER_CASES = [
+    pytest.param(call, field, bad, id=f"{name}-{bad_id}")
+    for name, call, field, sign in NUMBER_INPUTS
+    for bad, bad_id in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+                        (10**400, "huge-int"), (sign, "sign"))
+    if bad is not None
+]
+
+
+@pytest.mark.parametrize("call, field, bad", NUMBER_CASES)
+def test_bad_input_number_is_refused_naming_its_field(call, field, bad):
+    with pytest.raises(ValueError, match="^" + re.escape(field) + " "):
+        call(bad)
+
+
+@pytest.mark.parametrize("field, key, flags", [
+    ("wavelength", "wavelength_m", {"positive": True}),
+    ("intensity", "intensity_W_m2", {"nonnegative": True}),
+    ("pulse_duration", "pulse_duration_s", {"positive": True}),
+    ("spot_radius", "spot_radius_m", {"positive": True}),
+])
+def test_laser_field_and_config_key_refuse_the_same_values(field, key, flags):
+    # the type and the config reader (with the CLI's flags) apply one rule
+    for value in (math.nan, math.inf, -math.inf, 10**400, -(10**400), 1e308, -1e308,
+                  -1.0, -1e-300, -0.0, 0.0, 0, 5e-324, 1e-300, 1, 2.5):
+        try:
+            LaserGrating(**{**LASER, field: value})
+            type_refuses = False
+        except ValueError:
+            type_refuses = True
+        try:
+            _need({key: value}, key, "cfg.json", **flags)
+            config_refuses = False
+        except CatalogError:
+            config_refuses = True
+        assert type_refuses == config_refuses, value
 
 
 class TestCatalog:
