@@ -27,11 +27,13 @@ Conventions:
 * The overall phase ``exp(i (U0/2 + UC/8) tau / hbar)`` is reported in
   ``global_phase`` and never multiplied into the amplitudes, which keeps
   analytic patterns directly comparable with the Fourier oracle.
-* Each Bessel row is cut once, at N = ceil(|xi| + 8 |xi|^(1/3) + 12)
-  (J_n dies super-exponentially past n ~ xi), and reports the probability
-  2 sum_{n>N} J_n^2 it discards, at most ~1e-24 for any |xi| <= 1e4.  A
-  pattern whose truncation residual (see :func:`quadrupole_pattern`) is
-  not below the requested tolerance raises TruncationError.
+* Each harmonic's comb (:func:`_comb`) is its Bessel row cut once at
+  N = ceil(|xi| + 8 |xi|^(1/3) + 12) (J_n dies super-exponentially past
+  n ~ xi), times i^n for a cosine harmonic, on every other half-order site
+  for a 4k_L one; the row discards 2 sum_{n>N} J_n^2, at most ~1e-24 for
+  any |xi| <= 1e4.  A pattern whose truncation residual (see
+  :func:`quadrupole_pattern`) is not below the requested tolerance raises
+  TruncationError.
 
 :func:`phase_grating_oracle` is an independent check on all of the above:
 it samples the exit wave on a grid over one full spatial period 2 pi / k_L
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import HBAR
-from .potentials import PotentialModel, _mean, _number, evaluate_potential
+from .potentials import PotentialModel, _integer, _mean, _number, evaluate_potential
 
 __all__ = [
     "TruncationError",
@@ -144,15 +146,16 @@ def bessel_J(n: int, x: float) -> float:
     """Bessel function of the first kind J_n(x).
 
     Accurate to ~1e-13 relative (1e-15 absolute near zeros) for |n| <= 200;
-    the argument is restricted to |x| <= 1e4.  Uses the ascending series for
-    small arguments and normalised downward recurrence otherwise, so the
-    reflection identities J_{-n}(x) = (-1)^n J_n(x) and
-    J_n(-x) = (-1)^n J_n(x) hold exactly.
+    the integer order is restricted to |n| <= 10185, the longest row the
+    engine builds, and the argument to |x| <= 1e4.  Uses the ascending
+    series for small arguments and normalised downward recurrence otherwise,
+    so the reflections J_{-n}(x) = (-1)^n J_n(x) = J_n(-x) hold exactly.
     """
-    n = int(n)
+    n = _integer("n", n)
+    if abs(n) > _truncation_order(_MAX_BESSEL_ARG):
+        raise ValueError(f"n must be within +-{_truncation_order(_MAX_BESSEL_ARG)}, got {n}")
+    _check_phase(x)
     x = float(x)
-    if not math.isfinite(x) or abs(x) > _MAX_BESSEL_ARG:
-        raise ValueError(f"bessel_J argument out of range (|x| <= {_MAX_BESSEL_ARG:g}): {x}")
     # an odd n flips the sign once per negative of n and x
     sign = -1.0 if n % 2 and (n < 0) != (x < 0.0) else 1.0
     return sign * float(_bessel_row(abs(x), abs(n))[0][abs(n)])
@@ -277,38 +280,28 @@ def _truncation_order(a: float) -> int:
 
 
 def _check_phase(xi: float):
-    if not math.isfinite(xi) or abs(xi) > _MAX_BESSEL_ARG:
-        raise PhaseRangeError(f"phase {xi!r} is beyond the {_MAX_BESSEL_ARG:g} rad range")
+    if not abs(xi) <= _MAX_BESSEL_ARG:  # also NaN and ints beyond the double range
+        raise PhaseRangeError(f"phase {xi!s:.40} is beyond the {_MAX_BESSEL_ARG:g} rad range")
 
 
-def _truncated_bessel(xi: float) -> tuple[np.ndarray, float]:
-    """J_n(xi) for n = -N..N, N = ceil(|xi| + 8 |xi|^(1/3) + 12), and the
-    probability 2 sum_{n>N} J_n(xi)^2 the row discards.
-
-    Returns the signed row (J_{-n} = (-1)^n J_n).
-    """
+def _comb(xi: float, i_powers: bool, step: int) -> tuple[np.ndarray, float]:
+    """One harmonic's Jacobi-Anger comb: J_n(xi) for n = -N..N, N = ceil(|xi|
+    + 8 |xi|^(1/3) + 12), times the exact i**n if ``i_powers``, on every
+    ``step``-th lattice site; and the probability 2 sum_{n>N} J_n(xi)^2 the
+    row discards."""
     _check_phase(xi)
-    a = abs(xi)
-    n = _truncation_order(a)
-    row, tail = _bessel_row(a, n)
+    n = _truncation_order(abs(xi))
+    row, tail = _bessel_row(abs(xi), n)
     # J_k(|xi|) for k = -n..n, using J_{-k}(x) = (-1)^k J_k(x); a negative
     # argument's row is that row reversed, since J_k(-x) = J_{-k}(x)
-    full = np.concatenate((row[:0:-1], row))
-    full[n - 1 :: -2] *= -1.0  # the odd negative orders
-    return (full if xi > 0.0 else full[::-1]), tail
-
-
-def _times_i_powers(row: np.ndarray) -> np.ndarray:
-    """A symmetric row of terms n = -N..N, each times the exact i**n."""
-    n = (len(row) - 1) // 2
-    return _I_POW[np.arange(-n, n + 1) & 3] * row
-
-
-def _dilate(row: np.ndarray, step: int) -> np.ndarray:
-    """Spread a symmetric coefficient row onto every ``step``-th lattice site."""
-    out = np.zeros(step * (len(row) - 1) + 1, dtype=row.dtype)
-    out[::step] = row
-    return out
+    row = np.concatenate((row[:0:-1], row))
+    row[n - 1 :: -2] *= -1.0  # the odd negative orders
+    row = row if xi > 0.0 else row[::-1]
+    if i_powers:
+        row = _I_POW[np.arange(-n, n + 1) & 3] * row
+    comb = np.zeros(2 * step * n + 1, dtype=row.dtype)
+    comb[::step] = row
+    return comb, tail
 
 
 # the direct path stays below this many multiply-adds; the floor sits far
@@ -365,7 +358,7 @@ def dipole_pattern(theta0: float, tolerance: float = 1e-10) -> DiffractionPatter
     this is :func:`quadrupole_pattern` at zero quadrupole phases, so
     ``truncation_residual`` is the row's tail.  theta0 = U0 tau / 2 hbar.
     """
-    return quadrupole_pattern(PhaseSet(float(theta0)), tolerance)
+    return quadrupole_pattern(PhaseSet(theta0), tolerance)
 
 
 def quadrupole_pattern(phases: PhaseSet, tolerance: float = 1e-10) -> DiffractionPattern:
@@ -409,9 +402,8 @@ def quadrupole_pattern(phases: PhaseSet, tolerance: float = 1e-10) -> Diffractio
     else:
         conv, roots = np.ones(1, complex), 0.0
         for k, (xi, i_powers, step) in enumerate(combs):
-            row, tail = _truncated_bessel(xi)
+            row, tail = _comb(xi, i_powers, step)
             roots += math.sqrt(tail)
-            row = _dilate(_times_i_powers(row) if i_powers else row, step)
             # a complex first row: numpy sums a real convolution in another order
             conv = np.convolve(conv, row) if k else row + 0j
         residual = roots**2
@@ -450,7 +442,7 @@ def phase_grating_oracle(
     negative.  TruncationError is raised if the window reaches the grid
     edge, or unless the residual is below ``tolerance``.
     """
-    m = int(grid_points)
+    m = _integer("grid_points", grid_points)
     if m < 4096 or (m & (m - 1)) != 0:
         raise ValueError(f"grid_points must be a power of two >= 4096, got {grid_points}")
     _number("tau", tau, positive=True)

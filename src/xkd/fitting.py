@@ -50,7 +50,7 @@ import numpy as np
 from .constants import E2_GAUSS, HARTREE_NOMINAL, HBAR, R_BOHR
 from . import diffraction
 from .diffraction import PhaseSet
-from .potentials import LaserGrating, _number
+from .potentials import LaserGrating, _integer, _number
 
 __all__ = [
     "ObservedPattern",
@@ -76,8 +76,9 @@ MATCH_TOLERANCE = 1e-11     # per-order intensity match of equivalent triples
 class ObservedPattern:
     """Measured (or synthetic) intensities per even diffraction order.
 
-    Each row is (order, intensity, weight): the order must be even and not
-    repeated, the intensity finite and >= 0, the weight finite and > 0.
+    Each row is (order, intensity, weight): the order must be an even
+    integer (2.0 counts) and not repeated, the intensity finite and >= 0,
+    the weight finite and > 0.
     Intensities may be noisy or unnormalised, so their total is not
     checked; a total above 1 is stated in the fit's ``covariance_note``.
     """
@@ -87,7 +88,7 @@ class ObservedPattern:
     def __post_init__(self):
         rows, seen = [], set()
         for q, intensity, weight in self.rows:
-            q = int(q)
+            q = _integer("order", q)
             if q % 2 != 0:
                 raise ValueError(f"order {q} is odd; only even orders exist")
             if q in seen:
@@ -117,7 +118,8 @@ class ObservedPattern:
     def from_arrays(cls, orders, intensities, weights=None) -> "ObservedPattern":
         if weights is None:
             weights = np.ones(len(orders))
-        return cls(rows=tuple(zip(map(int, orders), intensities, weights)))
+        # tolist gives Python numbers, which the rules compare fastest
+        return cls(rows=tuple(zip(np.asarray(orders).tolist(), intensities, weights)))
 
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "ObservedPattern":
@@ -334,7 +336,7 @@ def fit_dipole(observed: ObservedPattern, theta0_init: float = 0.5) -> FitResult
             "cannot be inverted (it is zero at theta0 = 0)"
         )
 
-    return _fit(_dipole_model, [float(theta0_init)], observed, describe)
+    return _fit(_dipole_model, [float(_number("theta0_init", theta0_init))], observed, describe)
 
 
 def fit_quadrupole(observed: ObservedPattern, init: PhaseSet) -> FitResult:

@@ -177,7 +177,7 @@ def time_average(integrand: Callable, samples_per_period: int = 4096) -> float:
     average to zero (what removes every permanent multipole term and the
     magnetic-dipole term from the effective potential).
     """
-    m = int(samples_per_period)
+    m = _integer("samples_per_period", samples_per_period)
     if m < 16:
         raise ValueError(f"samples_per_period must be >= 16, got {samples_per_period}")
     phi = 2.0 * math.pi * np.arange(m) / m
@@ -206,6 +206,15 @@ def _number(label: str, value, positive: bool = False, nonnegative: bool = False
     else:
         return value
     raise ValueError(f"{label} must be {problem}, got {value!s:.40}")
+
+
+def _integer(label: str, value) -> int:
+    """``value`` as an int, once it passes :func:`_number` and equals that int
+    (so 2.0 and numpy ints pass, 2.7 does not): the one rule for input integers."""
+    whole = int(_number(label, value))
+    if whole != value:
+        raise ValueError(f"{label} must be an integer, got {value!s:.40}")
+    return whole
 
 
 def _sigma_table(table) -> tuple[tuple[float, float], ...]:

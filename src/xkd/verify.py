@@ -85,8 +85,7 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
     reduction_dev = 0.0
     for _ in range(10):
         theta0 = float(rng.uniform(-3.0, 3.0))
-        row, tail = diffraction._truncated_bessel(theta0)  # comb i^n J_n(theta0)
-        comb = diffraction.DiffractionPattern(diffraction._times_i_powers(row), tail)
+        comb = diffraction.DiffractionPattern(*diffraction._comb(theta0, True, 1))  # i^n J_n
         dip = diffraction.dipole_pattern(theta0)
         reduction_dev = max(reduction_dev, _pattern_pair_dev(dip, comb))
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from xkd.diffraction import _bessel_row, bessel_J, dipole_pattern
+from xkd.diffraction import _bessel_row, _comb, _truncation_order, bessel_J, dipole_pattern
 
 from conftest import bessel_series_oracle
 
@@ -116,6 +116,27 @@ def test_row_tail_against_scipy(x):
 def test_residual_at_the_phase_range_corners():
     for theta0 in (1e4, -1e4):
         assert 0.0 < dipole_pattern(theta0).truncation_residual < 1e-24
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("i_powers", [True, False])
+@pytest.mark.parametrize("xi", [0.7, -0.7, 3.5, -12.0])
+def test_comb_against_scipy(xi, i_powers, step):
+    # both row algorithms at both signs: site step (n + N) holds J_n(xi),
+    # times i^n for a cosine harmonic, and every other site is exactly 0
+    from scipy.special import jv
+
+    comb, tail = _comb(xi, i_powers, step)
+    top = _truncation_order(abs(xi))
+    assert len(comb) == 2 * step * top + 1
+    n = np.arange(-top, top + 1)
+    ref = jv(n, xi) * (np.array([1, 1j, -1, -1j])[n % 4] if i_powers else 1.0)
+    err = np.abs(comb[::step] - ref)
+    assert np.all((err <= 1e-15) | (err <= 1e-13 * np.abs(ref))), np.flatnonzero(err > 1e-15) - top
+    off = np.ones(len(comb), bool)
+    off[::step] = False
+    assert np.all(comb[off] == 0)
+    assert 0.0 <= tail <= 1e-24
 
 
 def test_deep_evanescent_orders_underflow_gracefully():

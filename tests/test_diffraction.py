@@ -167,9 +167,9 @@ class TestQuadrupolePattern:
         # at zero quadrupole phases the engine returns the Jacobi-Anger comb
         # i^n J_n(theta0) of one Bessel row, bit for bit, and that row's tail
         for theta0 in (0.3, 1.0, -2.2):
-            row, tail = diffraction._truncated_bessel(theta0)
+            comb, tail = diffraction._comb(theta0, True, 1)
             quad = quadrupole_pattern(PhaseSet(theta0))
-            assert np.array_equal(quad.amplitudes, diffraction._times_i_powers(row))
+            assert np.array_equal(quad.amplitudes, comb)
             assert quad.truncation_residual == pytest.approx(tail, rel=3e-16)
             for q in (0, 2, -4):
                 exact = 1j ** (q // 2 % 4) * bessel_series_oracle(q // 2, theta0)
@@ -215,13 +215,13 @@ class TestQuadrupolePattern:
         # the theta0 row discards 7.9e-25, above 1e-30: the one nonzero
         # phase's row is built once, at the rule's N, and the pattern fails
         calls = []
-        row = diffraction._truncated_bessel
+        comb = diffraction._comb
 
-        def counting(xi):
+        def counting(xi, i_powers, step):
             calls.append(xi)
-            return row(xi)
+            return comb(xi, i_powers, step)
 
-        monkeypatch.setattr(diffraction, "_truncated_bessel", counting)
+        monkeypatch.setattr(diffraction, "_comb", counting)
         with pytest.raises(TruncationError, match="cannot reach tolerance 1e-30"):
             quadrupole_pattern(PhaseSet(9000.0), tolerance=1e-30)
         assert calls == [9000.0]
@@ -238,8 +238,8 @@ class TestQuadrupolePattern:
             phases = PhaseSet(t0, a2, thetaC4=c4)
             direct, _ = pattern_on_path(monkeypatch, phases, fft=False)
             tails = [
-                diffraction._truncated_bessel(xi)[1]
-                for xi in (phases.theta0, phases.thetaA2, phases.thetaA4, phases.thetaC4)
+                diffraction._comb(xi, i_powers, step)[1]
+                for xi, i_powers, step in comb_table(phases)
             ]
             assert direct.truncation_residual == sum(np.sqrt(t) for t in tails) ** 2, phases
             p, fft = pattern_on_path(monkeypatch, phases)
@@ -271,6 +271,12 @@ class TestQuadrupolePattern:
             for k in ks:
                 exact = mp.fsum(psi[j] * roots[-k * j % m] for j in range(m)) / m
                 assert abs(p.amplitude(2 * k) - complex(exact)) <= 2e-14, k
+
+
+def comb_table(phases):
+    """quadrupole_pattern's (phase, i_powers, step) row of each of the four combs."""
+    return ((phases.theta0, True, 1), (phases.thetaA2, False, 1),
+            (phases.thetaA4, False, 2), (phases.thetaC4, True, 2))
 
 
 def padded(pattern, half):
@@ -335,13 +341,11 @@ class TestConvolutionPaths:
             draws = rng.uniform(-4.0, 4.0, 3) * 10.0 ** rng.uniform(-3.0, 0.0, 3)
             theta0, a2, c4 = np.where(rng.random(3) < 0.5, 0.0, draws)
             phases = PhaseSet(float(theta0), float(a2), thetaC4=float(c4))
-            t0, ra2, ra4, rc4 = (
-                diffraction._truncated_bessel(xi)[0] if xi != 0.0 else np.array([1.0])
-                for xi in (phases.theta0, phases.thetaA2, phases.thetaA4, phases.thetaC4)
+            conv, *others = (
+                diffraction._comb(xi, i_powers, step)[0] if xi != 0.0 else np.ones(1, complex)
+                for xi, i_powers, step in comb_table(phases)
             )
-            conv = diffraction._times_i_powers(t0)
-            for other in (ra2, diffraction._dilate(ra4, 2),
-                          diffraction._dilate(diffraction._times_i_powers(rc4), 2)):
+            for other in others:
                 conv = np.convolve(conv, other)
             h = len(conv) // 2
             k = int(np.max(np.abs(np.flatnonzero(conv) - h)))
@@ -352,7 +356,7 @@ class TestConvolutionPaths:
         # the row of a 1e-200 rad phase is longer than three entries, but
         # every one past J1 = 5e-201 underflows to exactly 0; the bytes
         # also pin +0.0 in every real and imaginary part (no signed zeros)
-        assert len(diffraction._truncated_bessel(1e-200)[0]) > 3
+        assert len(diffraction._comb(1e-200, False, 1)[0]) > 3
         a = 0.5e-200j
         dipole = dipole_pattern(1e-200)
         assert dipole.amplitudes.tobytes() == np.array([a, 1, a]).tobytes()

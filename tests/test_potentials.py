@@ -9,8 +9,14 @@ import pytest
 
 from xkd import feasibility as feas
 from xkd.constants import EV, R_BOHR
-from xkd.diffraction import PhaseSet, phase_grating_oracle, phases_from_potential
-from xkd.fitting import ObservedPattern
+from xkd.diffraction import (
+    PhaseSet,
+    bessel_J,
+    dipole_pattern,
+    phase_grating_oracle,
+    phases_from_potential,
+)
+from xkd.fitting import ObservedPattern, fit_dipole
 from xkd.potentials import (
     AtomSpecies,
     CatalogError,
@@ -311,6 +317,70 @@ NUMBER_CASES = [
 def test_bad_input_number_is_refused_naming_its_field(call, field, bad):
     with pytest.raises(ValueError, match="^" + re.escape(field) + " "):
         call(bad)
+
+
+# The integer rule and the Bessel path's one range test, as (id, call with
+# the value in that place, what the ValueError must start with, the values).
+# A Bessel argument is refused as a phase, the name the range test gives it.
+OBSERVED = ObservedPattern.from_arrays([-2, 0, 2], [0.2, 0.5, 0.2])
+HUGE = 10**400
+NON_FINITE = (math.nan, math.inf, -math.inf, HUGE)
+REFUSED_INPUTS = [
+    ("bessel_J.n", lambda v: bessel_J(v, 1.0), "n must be finite", NON_FINITE),
+    ("bessel_J.n", lambda v: bessel_J(v, 1.0), "n must be an integer", (2.7, -0.5)),
+    ("bessel_J.n", lambda v: bessel_J(v, 1.0), "n must be within +-10185",
+     (10186, -10186, 10**6)),
+    ("bessel_J.x", lambda v: bessel_J(0, v), "phase", (*NON_FINITE, 1.0001e4, -2e4)),
+    ("dipole_pattern.theta0", dipole_pattern, "theta0 must be finite", NON_FINITE),
+    ("dipole_pattern.theta0", dipole_pattern, "phase", (1.0001e4,)),
+    ("fit_dipole.theta0_init", lambda v: fit_dipole(OBSERVED, v), "theta0_init must be finite",
+     NON_FINITE),
+    ("ObservedPattern.order", lambda v: ObservedPattern(((v, 0.1, 1.0), (0, 0.5, 1.0))),
+     "order must be finite", NON_FINITE),
+    ("ObservedPattern.order", lambda v: ObservedPattern(((v, 0.1, 1.0), (0, 0.5, 1.0))),
+     "order must be an integer", (2.9, -0.5)),
+    ("from_arrays.order", lambda v: ObservedPattern.from_arrays([v, 0], [0.1, 0.5]),
+     "order must be an integer", (2.7, np.float64(4.5))),
+    ("phase_grating_oracle.grid_points", lambda v: phase_grating_oracle(MODEL, 1e-12, v),
+     "grid_points must be finite", NON_FINITE),
+    ("phase_grating_oracle.grid_points", lambda v: phase_grating_oracle(MODEL, 1e-12, v),
+     "grid_points must be an integer", (4096.7,)),
+    ("time_average.samples_per_period", lambda v: time_average(math.cos, v),
+     "samples_per_period must be finite", NON_FINITE),
+    ("time_average.samples_per_period", lambda v: time_average(math.cos, v),
+     "samples_per_period must be an integer", (16.9,)),
+]
+REFUSED_CASES = [
+    pytest.param(call, start, bad, id=f"{name}-{'huge-int' if bad is HUGE else bad}")
+    for name, call, start, values in REFUSED_INPUTS
+    for bad in values
+]
+
+
+@pytest.mark.parametrize("call, start, bad", REFUSED_CASES)
+def test_bad_integer_or_bessel_input_is_refused_naming_it(call, start, bad):
+    with pytest.raises(ValueError, match="^" + re.escape(start)) as info:
+        call(bad)
+    # a huge int is printed capped, not with all its 401 digits
+    assert len(str(info.value)) < 100
+
+
+def test_integral_neighbours_of_refused_inputs_keep_their_results():
+    # integral floats and numpy ints pass the integer rule as the int they equal
+    rows = ((2, 0.1, 1.0), (0, 0.5, 1.0))
+    for orders in ([2, 0], np.array([2.0, 0.0]), np.array([2, 0], dtype=np.int64)):
+        observed = ObservedPattern.from_arrays(orders, [0.1, 0.5])
+        assert observed.rows == rows
+        assert all(type(q) is int for q, _, _ in observed.rows)
+    assert ObservedPattern(((2.0, 0.1, 1.0), (0, 0.5, 1.0))).rows == rows
+    for n in (2.0, np.int64(2), np.float64(2.0)):
+        assert bessel_J(n, 1.0) == bessel_J(2, 1.0)
+    # the highest order allowed, at both ends of the argument range, pinned to the bit
+    assert bessel_J(10185, 1e4) == bessel_J(-10185, -1e4) == float.fromhex("0x1.032485f48844dp-41")
+    assert bessel_J(-10185, 1e4) == -bessel_J(10185, 1e4)
+    assert time_average(math.cos, 16.0) == time_average(math.cos, 16)
+    oracle = phase_grating_oracle(MODEL, 1e-12, 4096)
+    assert phase_grating_oracle(MODEL, 1e-12, 4096.0).amplitudes.tobytes() == oracle.amplitudes.tobytes()
 
 
 @pytest.mark.parametrize("field, key, flags", [
