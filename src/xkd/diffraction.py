@@ -254,7 +254,9 @@ class DiffractionPattern:
         return complex(self.amplitudes_at(q)[0])
 
     def intensity(self, q: int) -> float:
-        return float(self.intensities_at(q)[0])
+        # x * x, as ``intensities`` squares; a numpy scalar's x ** 2 can be an ulp off
+        a = self.amplitudes_at(q)[0]
+        return float(a.real * a.real + a.imag * a.imag)
 
     def amplitudes_at(self, qs) -> np.ndarray:
         """Amplitudes at the integer orders ``qs``, 0 at odd q and outside the window."""
@@ -264,10 +266,6 @@ class DiffractionPattern:
         out = np.zeros(qs.shape, complex)
         out[hit] = self.amplitudes[(qs[hit] + top) // 2]
         return out
-
-    def intensities_at(self, qs) -> np.ndarray:
-        amps = self.amplitudes_at(qs)
-        return amps.real**2 + amps.imag**2
 
 
 def _check_tolerance(tolerance: float):

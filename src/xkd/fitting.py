@@ -119,7 +119,8 @@ class ObservedPattern:
         if weights is None:
             weights = np.ones(len(orders))
         # tolist gives Python numbers, which the rules compare fastest
-        return cls(rows=tuple(zip(np.asarray(orders).tolist(), intensities, weights)))
+        columns = (np.asarray(c).tolist() for c in (orders, intensities, weights))
+        return cls(rows=tuple(zip(*columns)))
 
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "ObservedPattern":
@@ -136,7 +137,10 @@ class ObservedPattern:
                 if len(rec) != len(header):
                     raise ValueError(f"{path}:{line_no}: row {rec!r} needs {len(header)} cells")
                 try:
-                    q = int(rec[0])
+                    try:  # an int cell keeps its exact value
+                        q = int(rec[0])
+                    except ValueError:  # 2.0 or 2e1: the integer rule judges it
+                        q = float(rec[0])
                     intensity = float(rec[1])
                     weight = float(rec[2]) if len(rec) > 2 else 1.0
                 except ValueError as exc:
@@ -179,18 +183,12 @@ DAMPING_UP = 4.0            # multiplies it after a rejected one
 MAX_REJECTIONS = 60         # in a row, before the fit stops
 
 
-def _amplitudes(phases, qs: np.ndarray) -> np.ndarray:
-    """A(q) at the even orders ``qs`` (any shape) for (theta0, thetaA2, thetaC4);
-    orders with |q|/2 > H read exactly 0, so they never enlarge the grid."""
-    spectrum, half = diffraction._exit_wave(*phases)
-    k = qs // 2
-    return np.where(np.abs(k) <= half, spectrum[k % len(spectrum)], 0.0)
-
-
 def _with_jacobian(phases, orders: np.ndarray, n_params: int):
-    """Intensities at ``orders`` and their derivatives by the first
-    ``n_params`` phases, d I / d p = 2 Re(conj(A) d A / d p)."""
-    shifted = _amplitudes(phases, orders[:, None] + _SHIFTS)
+    """Intensities at ``orders`` and their derivatives by the first ``n_params``
+    phases, d I / d p = 2 Re(conj(A) d A / d p); |q|/2 > H reads exactly 0."""
+    spectrum, half = diffraction._exit_wave(*phases)
+    k = (orders[:, None] + _SHIFTS) // 2
+    shifted = np.where(np.abs(k) <= half, spectrum[k % len(spectrum)], 0.0)
     amps = shifted[:, 2]  # the unshifted column
     d_amps = shifted @ _SHIFT_COEFFS[:n_params].T
     return amps.real**2 + amps.imag**2, 2.0 * (amps.conj()[:, None] * d_amps).real
@@ -392,8 +390,9 @@ def equivalent_triples(
     sign change of g is finished by bisecting that cell, so no member hangs on
     the last bits of the quartic's roots.  A candidate ``(R2 cos phi,
     R2 sin phi, R4 cos(delta + 2 phi))`` is kept when it lies 1e-9 or more from
-    every earlier one and its intensities, read from the fits' FFT model on
-    the input's support, match within ``MATCH_TOLERANCE`` per order.
+    every earlier one and its intensities under the function both fits
+    minimise, :func:`_with_jacobian` (one FFT of the exit wave), match the
+    input's within ``MATCH_TOLERANCE`` at every order of the input's support.
     The input triple always comes first.
     """
     phases = PhaseSet(theta0, thetaA2, thetaC4=thetaC4)
@@ -404,17 +403,12 @@ def equivalent_triples(
     # covers its pattern too
     half = diffraction._support(*found[0])
     qs = 2 * np.arange(-half, half + 1)
-
-    def intensities(triple):
-        amps = _amplitudes(triple, qs)
-        return amps.real**2 + amps.imag**2
-
-    base = intensities(found[0])
+    base = _with_jacobian(found[0], qs, 0)[0]
 
     def consider(candidate: tuple[float, float, float]):
         if any(max(abs(a - b) for a, b in zip(candidate, known)) < 1e-9 for known in found):
             return
-        if np.max(np.abs(base - intensities(candidate))) <= MATCH_TOLERANCE:
+        if np.max(np.abs(base - _with_jacobian(candidate, qs, 0)[0])) <= MATCH_TOLERANCE:
             found.append(candidate)
 
     phi2 = math.atan2(thetaA2, theta0)

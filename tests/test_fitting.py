@@ -191,6 +191,40 @@ class TestObservedPattern:
         path.write_text(" order , intensity , weight \n0,0.5,1\n\n2,0.25,1e-9\n")
         assert list(ObservedPattern.from_csv(path).weights) == [1.0, 1e-9]
 
+    def test_csv_orders_follow_the_integer_rule(self, tmp_path):
+        # a spreadsheet may write order 2 as 2.0: the CSV takes it as
+        # from_arrays does, while an int cell keeps its exact value (2^53 + 1
+        # is odd; as a float it would round to an even order)
+        path = tmp_path / "obs.csv"
+        path.write_text("order,intensity\n2.0,0.1\n0,0.5\n-2e0,0.1\n")
+        obs = ObservedPattern.from_csv(path)
+        assert obs.rows == ObservedPattern.from_arrays([2, 0, -2], [0.1, 0.5, 0.1]).rows
+        assert all(type(q) is int for q, _, _ in obs.rows)
+        for cell, message in (("2.5", r"obs\.csv: order must be an integer, got 2\.5"),
+                              ("nan", r"obs\.csv: order must be finite"),
+                              ("9007199254740993", "order 9007199254740993 is odd"),
+                              ("two", r"obs\.csv:2: bad row \['two', '0\.1'\]")):
+            path.write_text(f"order,intensity\n{cell},0.1\n0,0.5\n")
+            with pytest.raises(ValueError, match=message):
+                ObservedPattern.from_csv(path)
+
+    def test_from_arrays_hands_the_rules_python_numbers(self, monkeypatch):
+        orders, intensities, weights = [-2, 0, 2], [0.1 + 0.2, 0.5, 5e-324], [1.0, 2.5, 1e-9]
+        listed = ObservedPattern.from_arrays(orders, intensities, weights)
+        seen = []
+
+        def recording(label, value, **sign):
+            seen.append(type(value))
+            return value
+
+        monkeypatch.setattr(fitting, "_number", recording)
+        arrayed = ObservedPattern.from_arrays(*map(np.array, (orders, intensities, weights)))
+        assert seen == [float] * 6
+        assert arrayed.rows == listed.rows
+        assert [list(map(type, row)) for row in arrayed.rows] == [[int, float, float]] * 3
+        assert ObservedPattern.from_arrays(np.array(orders), np.array(intensities)).rows == (
+            ObservedPattern.from_arrays(orders, intensities).rows)
+
     def test_csv_with_a_byte_order_mark(self, tmp_path):
         # spreadsheets save "CSV UTF-8" with a leading BOM
         path = tmp_path / "obs.csv"
@@ -366,7 +400,7 @@ class TestExactJacobian:
             pattern = quadrupole_pattern(PhaseSet(*p[:2], thetaC4=p[2]))
             orders = pattern.orders[pattern.intensities > 1e-12]
             intensities, jac = fitting._quad_model(p, orders)
-            assert np.max(np.abs(intensities - pattern.intensities_at(orders))) <= 1e-14
+            assert np.max(np.abs(intensities - abs(pattern.amplitudes_at(orders)) ** 2)) <= 1e-14
             numeric = _central_differences(fitting._quad_model, p, orders)
             assert np.max(np.abs(jac - numeric)) <= 1e-7 * np.max(np.abs(numeric))
 
@@ -376,7 +410,8 @@ class TestExactJacobian:
         for theta in rng.uniform(0.1, 8.0, 40):
             intensities, jac = fitting._dipole_model(np.array([theta]), orders)
             assert jac.shape == (len(orders), 1)
-            assert np.max(np.abs(intensities - dipole_pattern(theta).intensities_at(orders))) <= 1e-14
+            exact = abs(dipole_pattern(theta).amplitudes_at(orders)) ** 2
+            assert np.max(np.abs(intensities - exact)) <= 1e-14
             numeric = _central_differences(fitting._dipole_model, np.array([theta]), orders)
             assert np.max(np.abs(jac - numeric)) <= 1e-7 * np.max(np.abs(numeric))
 
@@ -388,12 +423,21 @@ class TestExitWaveModel:
     def grid_size(phases):
         return 1 << (2 * diffraction._support(*phases) + 1).bit_length()
 
+    @staticmethod
+    def spectrum_at(phases, qs):
+        """A(q) read at index (q/2) mod M of the exit wave's spectrum, and 0
+        past its support H, where the fits' model reads 0 (a pattern's
+        Bessel-row window can be wider than M)."""
+        spectrum, half = diffraction._exit_wave(*phases)
+        k = qs // 2
+        return np.where(np.abs(k) <= half, spectrum[k % len(spectrum)], 0.0)
+
     def test_random_triples_match_the_bessel_engine(self):
         rng = np.random.default_rng(26)
         for _ in range(300):
             phases = (float(rng.uniform(0.2, 3.0)), *map(float, rng.uniform(-1.0, 1.0, 2)))
             pattern = quadrupole_pattern(PhaseSet(*phases[:2], thetaC4=phases[2]))
-            amps = fitting._amplitudes(phases, pattern.orders)
+            amps = self.spectrum_at(phases, pattern.orders)
             top = np.max(np.abs(pattern.amplitudes))
             assert np.max(np.abs(amps - pattern.amplitudes)) <= 1e-14 * top
 
@@ -405,7 +449,7 @@ class TestExitWaveModel:
         monkeypatch.setattr(diffraction, "_fft_pays", lambda lengths: False)
         pattern = quadrupole_pattern(PhaseSet(*phases[:2], thetaC4=phases[2]))
         assert self.grid_size(phases) == 1024
-        amps = fitting._amplitudes(phases, pattern.orders)
+        amps = self.spectrum_at(phases, pattern.orders)
         assert np.max(np.abs(amps - pattern.amplitudes)) <= 1e-14
 
     @pytest.mark.parametrize("phases, grid", [((4.0, 0.0, 0.0), 64),
@@ -420,9 +464,13 @@ class TestExitWaveModel:
             assert 2 * half + 1 == grid - 1
         pattern = quadrupole_pattern(PhaseSet(*phases[:2], thetaC4=phases[2]))
         qs = 2 * np.arange(-half, half + 1)
-        amps = fitting._amplitudes(phases, qs)
+        amps = self.spectrum_at(phases, qs)
         assert np.max(np.abs(amps - pattern.amplitudes_at(qs))) <= 1e-15
-        assert not fitting._amplitudes(phases, np.array([2 * half + 2, -2 * half - 2])).any()
+        model = fitting._with_jacobian(phases, qs, 0)[0]
+        assert model.tobytes() == (amps.real**2 + amps.imag**2).tobytes()
+        # the fits' model reads exactly 0 past the window, not an alias
+        intensities, jac = fitting._with_jacobian(phases, np.array([2 * half + 2, -2 * half - 2]), 3)
+        assert not intensities.any() and not jac.any()
 
     def test_far_orders_read_zero_on_the_same_grid(self, monkeypatch):
         sizes = []

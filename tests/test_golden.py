@@ -1,7 +1,7 @@
 """Byte-for-byte checks of shipped outputs against captured reference files.
 
 ``tests/data`` holds the reports of ``xkd verify --seed`` 0, 3, 7 and 11,
-the JSON of ``xkd fit --config configs/fit_dipole.json``, what
+the JSON and stdout of ``xkd fit --config configs/fit_dipole.json``, what
 ``xkd pattern`` writes for both shipped pattern configs (CSV, ``--plot``
 SVG, JSON, and stdout with the out path replaced by ``OUT``), what
 ``xkd plan`` writes for ``configs/plan_xray.json`` (JSON and stdout), and
@@ -37,12 +37,13 @@ def test_verify_report_is_byte_identical(seed, tmp_path, capsys):
     assert capsys.readouterr().out.encode() == expected
 
 
-def test_shipped_dipole_fit_is_byte_identical(tmp_path, monkeypatch):
+def test_shipped_dipole_fit_is_byte_identical(tmp_path, monkeypatch, capsys):
     # the shipped config names its observations relative to the repo root
     monkeypatch.chdir(ROOT)
     out = tmp_path / "fit.json"
     assert cli.main(["fit", "--config", "configs/fit_dipole.json", "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "fit_dipole.json").read_bytes()
+    assert _stdout(capsys, out) == (DATA / "fit_dipole.stdout").read_text()
 
 
 def _stdout(capsys, out) -> str:
